@@ -22,6 +22,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 step "cargo fmt --check"
 cargo fmt --check
 
+step "cargo doc -D warnings"
+# Broken, ambiguous, redundant and private intra-doc links fail the
+# build, so a renamed or deleted item cannot leave stale docs behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
+step "perfbench build"
+# The repository benchmark is its own package building against the
+# crates by path; a public-API change that breaks it must fail here.
+cargo build --release --manifest-path perfbench/Cargo.toml
+
 step "BENCH_*.json schema"
 # table1 is the cheapest bin (pure model, no CPU measurement); its output
 # must match the stable schema every bench binary shares.
@@ -97,7 +107,7 @@ step "bench-diff against committed baselines"
 # benchmarks/baselines/. Model columns are deterministic, so any drift
 # is a model change: intentional ones are refreshed with
 # `bench-diff --bless` (see README).
-for bin in table3 table4 table5 table6 fig10 fig11 hbm_scaling bench_throughput bench_chaos bench_observe bench_flight bench_fused; do
+for bin in table3 table4 table5 table6 fig10 fig11 hbm_scaling bench_throughput bench_chaos bench_overhead bench_fused; do
     FBLAS_BENCH_DIR="$tmpdir" cargo run --release -q -p fblas-bench --bin "$bin" >/dev/null
 done
 # bench_serve lives in fblas-serve (the server crate), not fblas-bench:
@@ -141,41 +151,23 @@ assert regions >= 1, "axpy_chain must actually fuse"
 print(f"axpy_chain fused vs threaded at chunk=1: {ratio:.1f}x elements/sec")
 EOF
 
-step "telemetry overhead gate (armed vs disarmed)"
-# bench_observe (regenerated above) interleaves armed and disarmed runs
-# and aborts in-bin past the 3% budget; this re-checks the committed
-# report so the gate also fires on a stale artifact.
-python3 - "$tmpdir/BENCH_observe.json" <<'EOF'
+step "instrumentation overhead gates (telemetry and flight recorder)"
+# bench_overhead (regenerated above) interleaves each layer's armed and
+# off runs — telemetry: metrics armed vs disarmed; flight: recorder
+# armed vs off over armed metrics — and aborts in-bin past the 3%
+# budget; this re-checks the report so the gates also fire on a stale
+# artifact.
+python3 - "$tmpdir/BENCH_overhead.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 budget = doc["meta"]["budget_pct"]
-for row in doc["rows"]:
-    if row["routine"] == "dot" and row["mode"] == "on":
-        pct = row["cpu_overhead_pct"]
-        assert pct <= budget, f"dot telemetry overhead {pct:.2f}% > {budget:.0f}% budget"
-        print(f"dot telemetry overhead: {pct:.2f}% (budget {budget:.0f}%)")
-        break
-else:
-    raise AssertionError("BENCH_observe.json has no armed dot row")
-EOF
-
-step "flight-recorder overhead gate (recorder armed vs off)"
-# bench_flight (regenerated above) interleaves recorder-armed and
-# recorder-off runs on the armed metrics runtime and aborts in-bin past
-# the 3% budget; this re-checks the committed report so the gate also
-# fires on a stale artifact.
-python3 - "$tmpdir/BENCH_flight.json" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-budget = doc["meta"]["budget_pct"]
-for row in doc["rows"]:
-    if row["routine"] == "dot" and row["mode"] == "on":
-        pct = row["cpu_overhead_pct"]
-        assert pct <= budget, f"dot flight overhead {pct:.2f}% > {budget:.0f}% budget"
-        print(f"dot flight-recorder overhead: {pct:.2f}% (budget {budget:.0f}%)")
-        break
-else:
-    raise AssertionError("BENCH_flight.json has no recorder-armed dot row")
+dot_on = {row["layer"]: row["cpu_overhead_pct"] for row in doc["rows"]
+          if row["routine"] == "dot" and row["mode"] == "on"}
+for layer in ("telemetry", "flight"):
+    assert layer in dot_on, f"BENCH_overhead.json has no armed dot row for {layer}"
+    pct = dot_on[layer]
+    assert pct <= budget, f"dot {layer} overhead {pct:.2f}% > {budget:.0f}% budget"
+    print(f"dot {layer} overhead: {pct:.2f}% (budget {budget:.0f}%)")
 EOF
 
 step "fblas-doctor self-check (postmortem bundle forensics)"

@@ -2,12 +2,12 @@
 //!
 //! For each routine (DOT, GEMV, GER) a seeded set of fault scenarios is
 //! injected into the planned execution via a `fblas-chaos` [`FaultPlan`]
-//! and absorbed by [`execute_plan_with_recovery`]: payload bit flips on
-//! the push and pop sides (including bit 0, far below numeric noise —
-//! the digest guards' territory), element drop and duplication, a
-//! latency spike (undetectable by design: it changes timing, not
-//! values), a module crash, and a module hang caught by the watchdog
-//! deadline.
+//! and absorbed by [`execute_plan_with_recovery_backend`] on the backend
+//! `FBLAS_BACKEND` selects: payload bit flips on the push and pop sides
+//! (including bit 0, far below numeric noise — the digest guards'
+//! territory), element drop and duplication, a latency spike
+//! (undetectable by design: it changes timing, not values), a module
+//! crash, and a module hang caught by the watchdog deadline.
 //!
 //! The bin asserts the robustness contract before writing the report:
 //! every value-corrupting fault is detected, every detected fault is
@@ -30,7 +30,8 @@ use std::time::{Duration, Instant};
 use fblas_bench::metrics::{BenchReport, Cell};
 use fblas_chaos::{ChaosRng, FaultAction, FaultPlan, FaultSite, ModuleFault};
 use fblas_core::composition::{
-    execute_plan_with_recovery, plan, Op, PlannerConfig, Program, RecoveryReport, RetryPolicy,
+    execute_plan_with_recovery_backend, plan, Backend, Op, PlannerConfig, Program, RecoveryReport,
+    RetryPolicy,
 };
 use fblas_core::host::DeviceBuffer;
 
@@ -368,7 +369,7 @@ fn main() {
 
         // Fault-free reference: the bits every recovered run must match.
         let ref_bufs = bind(&routine.bindings);
-        let (ref_out, ref_report) = execute_plan_with_recovery::<f64>(
+        let (ref_out, ref_report) = execute_plan_with_recovery_backend::<f64>(
             &routine.program,
             &the_plan,
             &routine.cfg,
@@ -376,6 +377,7 @@ fn main() {
             &RetryPolicy::default(),
             None,
             None,
+            Backend::resolve(),
         )
         .expect("fault-free run succeeds");
         assert_eq!(ref_report.retries, 0, "{}: clean run retried", routine.name);
@@ -391,7 +393,7 @@ fn main() {
                 ..RetryPolicy::default()
             };
             let t0 = Instant::now();
-            let outcome = execute_plan_with_recovery::<f64>(
+            let outcome = execute_plan_with_recovery_backend::<f64>(
                 &routine.program,
                 &the_plan,
                 &routine.cfg,
@@ -399,6 +401,7 @@ fn main() {
                 &policy,
                 Some(hook.clone()),
                 None,
+                Backend::resolve(),
             );
             let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 

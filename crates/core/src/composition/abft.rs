@@ -12,9 +12,10 @@
 //!   transposed)
 //! * `ger`:  `ΣA' = ΣA + α·(Σx)(Σy)`
 //!
-//! The recovery layer ([`super::executor::execute_plan_with_recovery`])
-//! evaluates these identities against the *staged* write-back buffers
-//! before committing, so a corrupted result never reaches the caller's
+//! The recovery layer
+//! ([`super::executor::execute_plan_with_recovery_backend`]) evaluates
+//! these identities against the *staged* write-back buffers before
+//! committing, so a corrupted result never reaches the caller's
 //! device memory. Identities are evaluated in `f64` regardless of the
 //! element type, with a tolerance scaled by the element epsilon, the
 //! operation's flop count, and the magnitude of the data — wide enough

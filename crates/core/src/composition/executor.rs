@@ -1,14 +1,21 @@
 //! Execution of planner-derived compositions.
 //!
-//! [`execute_plan`] closes the loop on the planner: each
-//! [`PlannedComponent`](super::planner::PlannedComponent) is instantiated
-//! as a real dataflow simulation — interface readers with the right
-//! replay counts and tile orders, the computational modules with the
-//! planner's GEMV variants, fan-out stages where an output has several
-//! sinks, DRAM-replay loops for the partial-result variants, and deep
-//! FIFOs where the plan derived them — and run to completion. Components
-//! execute sequentially, communicating through the operand buffers,
-//! exactly as the paper's Fig. 9 schedule does.
+//! Three entry points close the loop on the planner:
+//! [`execute_plan_with_backend`] runs a plan (optionally traced),
+//! [`execute_plan_audited_with_backend`] additionally audits every
+//! component against the analytic model, and
+//! [`execute_plan_with_recovery_backend`] adds staged write-back, fault
+//! detection and retry. Each takes the [`Backend`] explicitly; pass
+//! [`Backend::resolve`] to honour `FBLAS_BACKEND`.
+//!
+//! Each [`PlannedComponent`] is instantiated as a real dataflow
+//! simulation — interface readers with the right replay counts and tile
+//! orders, the computational modules with the planner's GEMV variants,
+//! fan-out stages where an output has several sinks, DRAM-replay loops
+//! for the partial-result variants, and deep FIFOs where the plan
+//! derived them — and run to completion. Components execute
+//! sequentially, communicating through the operand buffers, exactly as
+//! the paper's Fig. 9 schedule does.
 //!
 //! Every operand the program names must be bound to a
 //! [`DeviceBuffer`] of matching shape; outputs are written back to their
@@ -117,61 +124,21 @@ pub struct ExecOutcome<T> {
     pub scalars: HashMap<String, T>,
 }
 
-/// Execute every component of `plan` sequentially on the dataflow
-/// simulator. Vector/matrix operands are read from and written to
-/// `buffers`; scalar results are returned.
-pub fn execute_plan<T: Scalar>(
-    program: &Program,
-    plan: &Plan,
-    cfg: &PlannerConfig,
-    buffers: &HashMap<String, DeviceBuffer<T>>,
-) -> Result<ExecOutcome<T>, ExecError> {
-    execute_plan_traced(program, plan, cfg, buffers, None)
-}
-
-/// [`execute_plan`] with an optional tracer attached to every component's
-/// simulation: each component gets its own span lane (`component:<index>`)
-/// on the executing thread, every module inside it gets a trace lane, and
-/// the watchdog samples channel occupancies. Pass `None` for the
-/// zero-overhead untraced path.
-pub fn execute_plan_traced<T: Scalar>(
-    program: &Program,
-    plan: &Plan,
-    cfg: &PlannerConfig,
-    buffers: &HashMap<String, DeviceBuffer<T>>,
-    tracer: Option<&Tracer>,
-) -> Result<ExecOutcome<T>, ExecError> {
-    execute_plan_with_backend(program, plan, cfg, buffers, tracer, Backend::resolve())
-}
-
-/// [`execute_plan`] forcing the fused compiled backend regardless of the
-/// `FBLAS_BACKEND` environment knob. Fusion remains *best-effort*:
-/// regions whose proof obligations do not re-verify (and everything that
-/// is not a legal region) still run threaded.
-pub fn execute_plan_fused<T: Scalar>(
-    program: &Program,
-    plan: &Plan,
-    cfg: &PlannerConfig,
-    buffers: &HashMap<String, DeviceBuffer<T>>,
-) -> Result<ExecOutcome<T>, ExecError> {
-    execute_plan_with_backend(program, plan, cfg, buffers, None, Backend::Fused)
-}
-
-/// [`execute_plan_traced`] forcing the fused backend.
-pub fn execute_plan_fused_traced<T: Scalar>(
-    program: &Program,
-    plan: &Plan,
-    cfg: &PlannerConfig,
-    buffers: &HashMap<String, DeviceBuffer<T>>,
-    tracer: Option<&Tracer>,
-) -> Result<ExecOutcome<T>, ExecError> {
-    execute_plan_with_backend(program, plan, cfg, buffers, tracer, Backend::Fused)
-}
-
-/// [`execute_plan_traced`] with an explicit backend selection instead of
-/// the `FBLAS_BACKEND` environment resolution — the form in-process
-/// comparisons (differential tests, benchmarks) use so both backends can
-/// run side by side without environment races.
+/// Execute every component of `plan` sequentially on `backend`.
+/// Vector/matrix operands are read from and written to `buffers`;
+/// scalar results are returned.
+///
+/// Pass [`Backend::resolve`] to honour the `FBLAS_BACKEND` environment
+/// knob, or a fixed variant so in-process comparisons (differential
+/// tests, benchmarks) can run both backends side by side without
+/// environment races. Fusion is *best-effort*: regions whose proof
+/// obligations do not re-verify (and everything that is not a legal
+/// region) still run threaded.
+///
+/// With a `tracer` attached, each component gets its own span lane
+/// (`component:<index>`) on the executing thread, every module inside it
+/// gets a trace lane, and the watchdog samples channel occupancies. Pass
+/// `None` for the zero-overhead untraced path.
 pub fn execute_plan_with_backend<T: Scalar>(
     program: &Program,
     plan: &Plan,
@@ -180,92 +147,25 @@ pub fn execute_plan_with_backend<T: Scalar>(
     tracer: Option<&Tracer>,
     backend: Backend,
 ) -> Result<ExecOutcome<T>, ExecError> {
-    cfg.validate()?;
-    check_bindings(program, buffers)?;
-    propagate_run_id(tracer);
-    if let Some(t) = tracer {
-        t.set_backend(backend.as_str());
-    }
-    let metrics = ExecMetrics::arm();
-
-    let scalars: Arc<Mutex<HashMap<String, T>>> = Arc::new(Mutex::new(HashMap::new()));
-    let router = BufRouter::direct(buffers);
-    let opts = ComponentOptions::default();
-    for (ix, component) in plan.components.iter().enumerate() {
-        // One span lane per component on this thread; module lanes are
-        // created inside the simulation's worker threads.
-        let _component_span = ModuleScope::enter(&format!("component:{ix}"), tracer);
-        if let Some(t) = tracer {
-            t.metrics().counter_add("exec.components", 1);
-        }
-        let comp_t0 = metrics.as_ref().map(|_| std::time::Instant::now());
-        dispatch_component(
-            backend, program, cfg, component, &router, &scalars, tracer, None, &opts,
-        )?;
-        if let (Some(m), Some(t0)) = (&metrics, comp_t0) {
-            m.component_done(t0);
-        }
-    }
-    let scalars = Arc::try_unwrap(scalars)
-        .map(|m| m.into_inner())
-        .unwrap_or_else(|arc| arc.lock().clone());
-    Ok(ExecOutcome { scalars })
+    run_plan(program, plan, cfg, buffers, tracer, backend, None).map(|(out, _)| out)
 }
 
-/// [`execute_plan`] with a performance audit of every component: each
-/// component runs under its own [`Tracer`], the pipeline costs of the
-/// computational modules it instantiates are recorded as they are
-/// attached, and after the run the predicted and measured sides are
-/// joined into one [`AuditReport`] per component (in schedule order).
+/// [`execute_plan_with_backend`] with a performance audit of every
+/// component: each component runs under its own [`Tracer`], the pipeline
+/// costs of the computational modules it instantiates are recorded as
+/// they are attached, and after the run the predicted and measured sides
+/// are joined into one [`AuditReport`] per component (in schedule order).
 ///
 /// `freq_hz` is the modeled clock the predictions are stated at (use
 /// [`crate::perf::estimate_time`]'s achieved frequency for a device-
 /// accurate figure) and `tolerance` the busy-share drift beyond which a
 /// module is flagged.
-pub fn execute_plan_audited<T: Scalar>(
-    program: &Program,
-    plan: &Plan,
-    cfg: &PlannerConfig,
-    buffers: &HashMap<String, DeviceBuffer<T>>,
-    freq_hz: f64,
-    tolerance: f64,
-) -> Result<(ExecOutcome<T>, Vec<AuditReport>), ExecError> {
-    execute_plan_audited_with_backend(
-        program,
-        plan,
-        cfg,
-        buffers,
-        freq_hz,
-        tolerance,
-        Backend::resolve(),
-    )
-}
-
-/// [`execute_plan_audited`] forcing the fused backend. A fused region
-/// appears in the measured side as a *single* compute lane
-/// (`fused:<name>`) — there are no channels inside a region, so there is
-/// no per-channel stall ledger to attribute; the predicted side still
-/// carries the per-op analytic model, which is backend-invariant.
-pub fn execute_plan_fused_audited<T: Scalar>(
-    program: &Program,
-    plan: &Plan,
-    cfg: &PlannerConfig,
-    buffers: &HashMap<String, DeviceBuffer<T>>,
-    freq_hz: f64,
-    tolerance: f64,
-) -> Result<(ExecOutcome<T>, Vec<AuditReport>), ExecError> {
-    execute_plan_audited_with_backend(
-        program,
-        plan,
-        cfg,
-        buffers,
-        freq_hz,
-        tolerance,
-        Backend::Fused,
-    )
-}
-
-/// [`execute_plan_audited`] with an explicit backend selection.
+///
+/// Under a fusing backend a fused region appears in the measured side as
+/// a *single* compute lane (`fused:<name>`) — there are no channels
+/// inside a region, so there is no per-channel stall ledger to
+/// attribute; the predicted side still carries the per-op analytic
+/// model, which is backend-invariant.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_plan_audited_with_backend<T: Scalar>(
     program: &Program,
@@ -276,19 +176,39 @@ pub fn execute_plan_audited_with_backend<T: Scalar>(
     tolerance: f64,
     backend: Backend,
 ) -> Result<(ExecOutcome<T>, Vec<AuditReport>), ExecError> {
-    cfg.validate()?;
-    check_bindings(program, buffers)?;
+    let spec = AuditSpec::new(freq_hz).with_tolerance(tolerance);
+    run_plan(program, plan, cfg, buffers, None, backend, Some(&spec))
+}
 
+/// The component loop behind [`execute_plan_with_backend`] and
+/// [`execute_plan_audited_with_backend`]. With `audit`, every component
+/// runs under a fresh tracer plus a predictions sink, and the two are
+/// joined into one report per component; otherwise the caller's
+/// `tracer` (if any) sees the whole run.
+fn run_plan<T: Scalar>(
+    program: &Program,
+    plan: &Plan,
+    cfg: &PlannerConfig,
+    buffers: &HashMap<String, DeviceBuffer<T>>,
+    tracer: Option<&Tracer>,
+    backend: Backend,
+    audit: Option<&AuditSpec>,
+) -> Result<(ExecOutcome<T>, Vec<AuditReport>), ExecError> {
+    let metrics = prologue(program, cfg, buffers, tracer, backend)?;
     let scalars: Arc<Mutex<HashMap<String, T>>> = Arc::new(Mutex::new(HashMap::new()));
     let router = BufRouter::direct(buffers);
     let opts = ComponentOptions::default();
-    let mut reports = Vec::with_capacity(plan.components.len());
-    for component in &plan.components {
-        // A fresh tracer per component keeps each audit's lanes (and the
-        // busy-share normalization over them) scoped to the modules that
-        // actually ran together.
-        let tracer = Tracer::new();
-        tracer.set_backend(backend.as_str());
+    let mut reports = Vec::new();
+    for (ix, component) in plan.components.iter().enumerate() {
+        let (_component_span, comp_t0) = enter_component(ix, tracer, metrics.as_ref());
+        // A fresh tracer per audited component keeps each audit's lanes
+        // (and the busy-share normalization over them) scoped to the
+        // modules that actually ran together.
+        let component_tracer = audit.map(|_| {
+            let t = Tracer::new();
+            t.set_backend(backend.as_str());
+            t
+        });
         let mut predictions: Vec<ModulePrediction> = Vec::new();
         dispatch_component(
             backend,
@@ -297,13 +217,18 @@ pub fn execute_plan_audited_with_backend<T: Scalar>(
             component,
             &router,
             &scalars,
-            Some(&tracer),
-            Some(&mut predictions),
+            component_tracer.as_ref().or(tracer),
+            audit.is_some().then_some(&mut predictions),
             &opts,
         )?;
-        let mut spec = AuditSpec::new(freq_hz).with_tolerance(tolerance);
-        spec.predictions = merge_predictions(predictions);
-        reports.push(fblas_audit::report::audit_tracer(&spec, &tracer));
+        if let (Some(m), Some(t0)) = (&metrics, comp_t0) {
+            m.component_done(t0);
+        }
+        if let (Some(spec), Some(t)) = (audit, &component_tracer) {
+            let mut spec = spec.clone();
+            spec.predictions = merge_predictions(predictions);
+            reports.push(fblas_audit::report::audit_tracer(&spec, t));
+        }
     }
     let scalars = Arc::try_unwrap(scalars)
         .map(|m| m.into_inner())
@@ -311,7 +236,7 @@ pub fn execute_plan_audited_with_backend<T: Scalar>(
     Ok((ExecOutcome { scalars }, reports))
 }
 
-/// Retry discipline for [`execute_plan_with_recovery`].
+/// Retry discipline for [`execute_plan_with_recovery_backend`].
 #[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Attempts per component before giving up (≥ 1). The default is
@@ -326,8 +251,8 @@ pub struct RetryPolicy {
     /// `Duration::ZERO` (the default) retries immediately, which keeps
     /// recovery runs deterministic in time-free reports.
     pub backoff: Duration,
-    /// Whether to evaluate the ABFT checksum identities
-    /// ([`super::abft`]) on the staged results before committing.
+    /// Whether to evaluate the ABFT checksum identities on the staged
+    /// results before committing.
     pub abft: bool,
 }
 
@@ -489,8 +414,8 @@ pub struct RecoveryReport {
     pub run_id: Option<String>,
 }
 
-/// Terminal failure of [`execute_plan_with_recovery`]: the last error
-/// plus the full attempt history up to it.
+/// Terminal failure of [`execute_plan_with_recovery_backend`]: the last
+/// error plus the full attempt history up to it.
 #[derive(Debug)]
 pub struct RecoveryError {
     /// The error that exhausted the retry budget (or failed up front).
@@ -559,6 +484,40 @@ fn propagate_run_id(tracer: Option<&Tracer>) {
     }
 }
 
+/// Shared prologue of every entry point: stamp the live run ID and the
+/// backend onto the caller's tracer, validate the configuration and the
+/// operand bindings, then resolve the global-metrics handles.
+fn prologue<T: Scalar>(
+    program: &Program,
+    cfg: &PlannerConfig,
+    buffers: &HashMap<String, DeviceBuffer<T>>,
+    tracer: Option<&Tracer>,
+    backend: Backend,
+) -> Result<Option<ExecMetrics>, ExecError> {
+    propagate_run_id(tracer);
+    if let Some(t) = tracer {
+        t.set_backend(backend.as_str());
+    }
+    cfg.validate()?;
+    check_bindings(program, buffers)?;
+    Ok(ExecMetrics::arm())
+}
+
+/// Open component `ix`'s span lane on the caller's tracer (module lanes
+/// are created inside the simulation's worker threads), count it, and
+/// start its metrics clock when the metrics runtime is armed.
+fn enter_component(
+    ix: usize,
+    tracer: Option<&Tracer>,
+    metrics: Option<&ExecMetrics>,
+) -> (ModuleScope, Option<std::time::Instant>) {
+    let span = ModuleScope::enter(&format!("component:{ix}"), tracer);
+    if let Some(t) = tracer {
+        t.metrics().counter_add("exec.components", 1);
+    }
+    (span, metrics.map(|_| std::time::Instant::now()))
+}
+
 /// Publish the authoritative flight-recorder bundle when a retry budget
 /// is exhausted. Attempt-level captures were suppressed, so this is the
 /// only bundle the run emits; it carries the full [`RecoveryReport`]
@@ -596,8 +555,8 @@ fn capture_exhaustion_postmortem(
     );
 }
 
-/// [`execute_plan`] with transactional write-back, fault detection, and
-/// retry.
+/// [`execute_plan_with_backend`] with transactional write-back, fault
+/// detection, and retry.
 ///
 /// Each component's output buffers are **staged**: the simulation writes
 /// into per-attempt scratch copies, and only a fully verified attempt is
@@ -615,59 +574,15 @@ fn capture_exhaustion_postmortem(
 /// even when a faulted attempt completed the simulation and wrote
 /// garbage.
 ///
+/// Under a fusing backend an armed `hook` makes the fusion analysis
+/// reject every region (`recovery-guards` obligation), so fault-injected
+/// attempts run fully threaded and the resulting [`RecoveryReport`] is
+/// identical to the threaded backend's by construction; hook-free runs
+/// fuse as usual, with staged write-back unchanged.
+///
 /// On success returns the outcome plus a [`RecoveryReport`]; on
 /// exhaustion returns [`RecoveryError`] with the error and the attempt
 /// history, leaving `buffers` at the last committed state.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_plan_with_recovery<T: Scalar>(
-    program: &Program,
-    plan: &Plan,
-    cfg: &PlannerConfig,
-    buffers: &HashMap<String, DeviceBuffer<T>>,
-    policy: &RetryPolicy,
-    hook: Option<Arc<dyn FaultHook>>,
-    tracer: Option<&Tracer>,
-) -> Result<(ExecOutcome<T>, RecoveryReport), Box<RecoveryError>> {
-    execute_plan_with_recovery_backend(
-        program,
-        plan,
-        cfg,
-        buffers,
-        policy,
-        hook,
-        tracer,
-        Backend::resolve(),
-    )
-}
-
-/// [`execute_plan_with_recovery`] forcing the fused backend. When `hook`
-/// is armed the fusion analysis rejects every region (`recovery-guards`
-/// obligation), so fault-injected attempts run fully threaded and the
-/// resulting [`RecoveryReport`] is identical to the threaded backend's
-/// by construction; hook-free runs fuse as usual, with staged write-back
-/// unchanged.
-pub fn execute_plan_fused_with_recovery<T: Scalar>(
-    program: &Program,
-    plan: &Plan,
-    cfg: &PlannerConfig,
-    buffers: &HashMap<String, DeviceBuffer<T>>,
-    policy: &RetryPolicy,
-    hook: Option<Arc<dyn FaultHook>>,
-    tracer: Option<&Tracer>,
-) -> Result<(ExecOutcome<T>, RecoveryReport), Box<RecoveryError>> {
-    execute_plan_with_recovery_backend(
-        program,
-        plan,
-        cfg,
-        buffers,
-        policy,
-        hook,
-        tracer,
-        Backend::Fused,
-    )
-}
-
-/// [`execute_plan_with_recovery`] with an explicit backend selection.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_plan_with_recovery_backend<T: Scalar>(
     program: &Program,
@@ -684,29 +599,14 @@ pub fn execute_plan_with_recovery_backend<T: Scalar>(
         run_id: fblas_metrics::current_run_id().map(|id| id.to_string()),
         ..RecoveryReport::default()
     };
-    propagate_run_id(tracer);
-    if let Some(t) = tracer {
-        t.set_backend(backend.as_str());
-    }
-    if let Err(e) = cfg.validate() {
-        return Err(Box::new(RecoveryError {
-            error: e.into(),
-            report,
-        }));
-    }
-    if let Err(e) = check_bindings(program, buffers) {
-        return Err(Box::new(RecoveryError { error: e, report }));
-    }
-
-    let metrics = ExecMetrics::arm();
+    let metrics = match prologue(program, cfg, buffers, tracer, backend) {
+        Ok(metrics) => metrics,
+        Err(error) => return Err(Box::new(RecoveryError { error, report })),
+    };
     let mut committed: HashMap<String, T> = HashMap::new();
     let max = policy.max_attempts.max(1);
     for (ix, component) in plan.components.iter().enumerate() {
-        let _component_span = ModuleScope::enter(&format!("component:{ix}"), tracer);
-        if let Some(t) = tracer {
-            t.metrics().counter_add("exec.components", 1);
-        }
-        let comp_t0 = metrics.as_ref().map(|_| std::time::Instant::now());
+        let (_component_span, comp_t0) = enter_component(ix, tracer, metrics.as_ref());
         // Operands this component writes; each attempt stages them.
         let mut out_names: Vec<&str> = component
             .ops
@@ -981,7 +881,7 @@ fn get_buf<'b, T: Scalar>(
 }
 
 /// Routes a component's buffer accesses. The direct router reads and
-/// writes the caller's buffers, exactly as [`execute_plan`] always has;
+/// writes the caller's buffers, as the plain and audited entries do;
 /// the recovery path overlays a scratch map so every *write* target
 /// resolves to a staged copy while *reads* keep hitting the committed
 /// state (in-component producer→consumer traffic flows through
@@ -1695,7 +1595,9 @@ mod tests {
             ("u", uv.clone()),
             ("z", vec![0.0; n]),
         ]);
-        let out = execute_plan::<f64>(&p, &thep, &cfg, &bufs).unwrap();
+        let out =
+            execute_plan_with_backend::<f64>(&p, &thep, &cfg, &bufs, None, Backend::resolve())
+                .unwrap();
 
         let (z_ref, beta_ref) = refblas::apps::axpydot(&wv, &vv, &uv, 0.8);
         let z = bufs["z"].to_host();
@@ -1750,7 +1652,7 @@ mod tests {
             ("q", vec![0.0; n]),
             ("s", vec![0.0; m]),
         ]);
-        execute_plan::<f64>(&p, &thep, &cfg, &bufs).unwrap();
+        execute_plan_with_backend::<f64>(&p, &thep, &cfg, &bufs, None, Backend::resolve()).unwrap();
 
         let (q_ref, s_ref) = refblas::apps::bicg(n, m, &av, &pv, &rv);
         let q = bufs["q"].to_host();
@@ -1812,7 +1714,8 @@ mod tests {
                 ("t", vec![0.0; n]),
                 ("y", vec![0.0; m]),
             ]);
-            execute_plan::<f64>(&p, &thep, &cfg, &bufs).unwrap();
+            execute_plan_with_backend::<f64>(&p, &thep, &cfg, &bufs, None, Backend::resolve())
+                .unwrap();
             let y = bufs["y"].to_host();
             for j in 0..m {
                 assert!(
@@ -1894,7 +1797,7 @@ mod tests {
             ("x", vec![0.0; n]),
             ("w", vec![0.0; n]),
         ]);
-        execute_plan::<f64>(&p, &thep, &cfg, &bufs).unwrap();
+        execute_plan_with_backend::<f64>(&p, &thep, &cfg, &bufs, None, Backend::resolve()).unwrap();
 
         let r = refblas::apps::gemver(n, alpha, beta, &av, &u1, &v1, &u2, &v2, &yv, &zv);
         let b = bufs["B"].to_host();
@@ -1952,8 +1855,16 @@ mod tests {
         ]);
         // A wide tolerance: this checks plumbing, not timing fidelity —
         // wall-clock shares on a loaded test host are not the subject.
-        let (out, reports) =
-            execute_plan_audited::<f64>(&p, &thep, &cfg, &bufs, 200.0e6, 1.0).unwrap();
+        let (out, reports) = execute_plan_audited_with_backend::<f64>(
+            &p,
+            &thep,
+            &cfg,
+            &bufs,
+            200.0e6,
+            1.0,
+            Backend::resolve(),
+        )
+        .unwrap();
 
         let (_, beta_ref) = refblas::apps::axpydot(&wv, &vv, &uv, 0.8);
         assert!((out.scalars["beta"] - beta_ref).abs() < 1e-9);
@@ -2081,7 +1992,7 @@ mod tests {
     fn recovery_without_faults_matches_plain_execution() {
         let (p, cfg, bufs, beta_ref) = axpydot_setup();
         let thep = plan(&p, &cfg).unwrap();
-        let (out, report) = execute_plan_with_recovery::<f64>(
+        let (out, report) = execute_plan_with_recovery_backend::<f64>(
             &p,
             &thep,
             &cfg,
@@ -2089,6 +2000,7 @@ mod tests {
             &RetryPolicy::default(),
             None,
             None,
+            Backend::resolve(),
         )
         .unwrap();
         assert!((out.scalars["beta"] - beta_ref).abs() < 1e-9);
@@ -2105,7 +2017,7 @@ mod tests {
         // Flip the exponent of one element as it enters the write-back
         // channel for z.
         let hook = OneShot::corrupt("write_z", 11, 62);
-        let (out, report) = execute_plan_with_recovery::<f64>(
+        let (out, report) = execute_plan_with_recovery_backend::<f64>(
             &p,
             &thep,
             &cfg,
@@ -2113,6 +2025,7 @@ mod tests {
             &RetryPolicy::default(),
             Some(hook),
             None,
+            Backend::resolve(),
         )
         .unwrap();
         assert!((out.scalars["beta"] - beta_ref).abs() < 1e-9);
@@ -2134,7 +2047,7 @@ mod tests {
         let (p, cfg, bufs, beta_ref) = axpydot_setup();
         let thep = plan(&p, &cfg).unwrap();
         let hook = OneShot::crash("axpy");
-        let (out, report) = execute_plan_with_recovery::<f64>(
+        let (out, report) = execute_plan_with_recovery_backend::<f64>(
             &p,
             &thep,
             &cfg,
@@ -2142,6 +2055,7 @@ mod tests {
             &RetryPolicy::default(),
             Some(hook),
             None,
+            Backend::resolve(),
         )
         .unwrap();
         assert!((out.scalars["beta"] - beta_ref).abs() < 1e-9);
@@ -2167,9 +2081,17 @@ mod tests {
             max_attempts: 1,
             ..RetryPolicy::default()
         };
-        let err =
-            execute_plan_with_recovery::<f64>(&p, &thep, &cfg, &bufs, &policy, Some(hook), None)
-                .unwrap_err();
+        let err = execute_plan_with_recovery_backend::<f64>(
+            &p,
+            &thep,
+            &cfg,
+            &bufs,
+            &policy,
+            Some(hook),
+            None,
+            Backend::resolve(),
+        )
+        .unwrap_err();
         assert!(
             matches!(err.error, ExecError::Corrupt { component: 0, .. }),
             "got: {}",
@@ -2195,13 +2117,13 @@ mod tests {
 
         let empty: HashMap<String, DeviceBuffer<f64>> = HashMap::new();
         assert!(matches!(
-            execute_plan::<f64>(&p, &thep, &cfg, &empty),
+            execute_plan_with_backend::<f64>(&p, &thep, &cfg, &empty, None, Backend::resolve()),
             Err(ExecError::MissingBuffer(n)) if n == "x" || n == "o"
         ));
 
         let bad = bind(vec![("x", vec![0.0; 8]), ("o", vec![0.0; 3])]);
         assert!(matches!(
-            execute_plan::<f64>(&p, &thep, &cfg, &bad),
+            execute_plan_with_backend::<f64>(&p, &thep, &cfg, &bad, None, Backend::resolve()),
             Err(ExecError::WrongLength { .. })
         ));
     }

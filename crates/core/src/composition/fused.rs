@@ -7,10 +7,10 @@
 //! [`FusionPlan`] admits regions is split into **execution units** —
 //! fused regions run as straight-line single-threaded loops over
 //! chunked slices (no channels, no locks, no thread spawns), and every
-//! other module keeps running on the threaded hlssim path via
-//! [`run_component`]. Units hand off through the operand
-//! [`DeviceBuffer`]s, which is exactly the boundary the threaded
-//! executor already uses: every op output is teed to its buffer, and a
+//! other module keeps running on the threaded hlssim path via the
+//! executor's `run_component`. Units hand off through the operand
+//! [`crate::host::DeviceBuffer`]s, which is exactly the boundary the
+//! threaded executor already uses: every op output is teed to its buffer, and a
 //! consumer whose producer is absent from the simulation reads the
 //! buffer back. Splitting therefore changes *where* values travel, not
 //! *what* they are.

@@ -22,9 +22,7 @@ pub mod planner;
 pub mod rates;
 
 pub use executor::{
-    execute_plan, execute_plan_audited, execute_plan_audited_with_backend, execute_plan_fused,
-    execute_plan_fused_audited, execute_plan_fused_traced, execute_plan_fused_with_recovery,
-    execute_plan_traced, execute_plan_with_backend, execute_plan_with_recovery,
+    execute_plan_audited_with_backend, execute_plan_with_backend,
     execute_plan_with_recovery_backend, AttemptRecord, ExecError, ExecOutcome, RecoveryError,
     RecoveryErrorKind, RecoveryReport, RetryPolicy,
 };

@@ -10,7 +10,7 @@
 //!    of [`fblas_core::composition::rates`] for a deadlock verdict and
 //!    exact minimum channel depths (generalizing the paper's multitree
 //!    heuristic, Sec. V).
-//! 2. **Dataflow passes** ([`crate::dataflow`]) — dead/pass-through
+//! 2. **Dataflow passes** ([`fblas_core::composition::dataflow`]) — dead/pass-through
 //!    module elimination (FL0023/FL0024/FL0026), channel depth
 //!    tightening under the chosen chunk size (FL0021/FL0022), and
 //!    fusion legality (FL0019/FL0020/FL0025) with its serializable
@@ -35,10 +35,12 @@ use fblas_core::composition::{
 };
 use fblas_hlssim::ModuleKind;
 
-use crate::dataflow::{solve, FlowGraph, LiveSinks};
 use crate::diag::{Diagnostic, LintCode, LintReport, Location, Severity};
-use crate::fusion::{analyze_fusion, infer_sems, sems_for_component, FusionPlan, ModuleSem};
 use crate::input::{Document, GraphDoc, ProgramDoc};
+use fblas_core::composition::dataflow::{solve, FlowGraph, LiveSinks};
+use fblas_core::composition::fusion::{
+    analyze_fusion, infer_sems, sems_for_component, FusionPlan, ModuleSem,
+};
 
 /// A lint run's full result: the diagnostics plus the fusion-plan
 /// artifacts the analysis derived (one per analyzable graph document,

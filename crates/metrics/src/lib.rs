@@ -2,7 +2,7 @@
 //!
 //! Everything the future serving layer scrapes mid-flight lives here:
 //!
-//! - **Sharded lock-free counters/gauges** ([`registry`]) — per-thread
+//! - **Sharded lock-free counters/gauges** ([`mod@registry`]) — per-thread
 //!   shards of relaxed atomics aggregated on read, registered by
 //!   name + labels. Threaded through hlssim channels, the composition
 //!   executor, and the chaos fault hooks.
@@ -25,7 +25,7 @@
 //! first checks [`armed`], a single relaxed atomic load, so the
 //! disarmed cost is one predictable branch. [`install`] arms the global
 //! registry explicitly; [`arm_from_env`] arms it when `FBLAS_METRICS=1`
-//! (shard count from `FBLAS_METRICS_SHARDS`). `bench_observe` measures
+//! (shard count from `FBLAS_METRICS_SHARDS`). `bench_overhead` measures
 //! the armed-vs-disarmed gap and holds it under 3%.
 
 pub mod expo;
@@ -68,7 +68,7 @@ pub fn install(shards: usize) -> Arc<Registry> {
 
 /// Disarm the global registry: instrumentation sites go back to the
 /// one-branch no-op. The registry and its accumulated values survive,
-/// so `bench_observe` can flip arming per rep without re-registering.
+/// so `bench_overhead` can flip arming per rep without re-registering.
 pub fn disarm() {
     ARMED.store(false, Ordering::Release);
 }

@@ -5,7 +5,7 @@
 //! - `bench_serve --smoke [--dump-responses PATH]` — drive a fixed
 //!   lockstep workload (one request outstanding at a time) against an
 //!   in-process server with refill-free quotas, printing every
-//!   response's [`Response::deterministic_line`]. Two runs of this mode
+//!   response's [`fblas_serve::Response::deterministic_line`]. Two runs of this mode
 //!   must produce byte-identical dumps — `ci.sh` compares them — because
 //!   lockstep serializes every admission decision and all wall-clock
 //!   material lives in the stripped `wall` field. Exercises the whole

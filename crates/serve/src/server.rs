@@ -7,7 +7,7 @@
 //! queue to a fixed worker pool; each worker enters a per-request
 //! seeded [`RunScope`](fblas_metrics::RunScope) (thread-local, so
 //! concurrent requests get distinct run IDs and postmortem bundles),
-//! executes through `execute_plan_with_recovery` with the request's
+//! executes through `execute_plan_with_recovery_backend` with the request's
 //! deadline spread across its retry budget, and writes the response
 //! back through the connection's shared write half (bounded by a write
 //! timeout, so a client that stops reading loses its connection rather

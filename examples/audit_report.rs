@@ -16,7 +16,9 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use fblas_core::composition::{execute_plan_audited, plan, Op, PlannerConfig, Program};
+use fblas_core::composition::{
+    execute_plan_audited_with_backend, plan, Backend, Op, PlannerConfig, Program,
+};
 use fblas_core::host::DeviceBuffer;
 use fblas_refblas as refblas;
 
@@ -77,8 +79,16 @@ fn main() -> ExitCode {
     .collect();
 
     println!("=== Audit self-check: AXPYDOT, N = {n}, tolerance {tolerance:.2} ===");
-    let (out, reports) = execute_plan_audited::<f64>(&p, &thep, &cfg, &buffers, 200.0e6, tolerance)
-        .expect("audited execution succeeds");
+    let (out, reports) = execute_plan_audited_with_backend::<f64>(
+        &p,
+        &thep,
+        &cfg,
+        &buffers,
+        200.0e6,
+        tolerance,
+        Backend::resolve(),
+    )
+    .expect("audited execution succeeds");
 
     // The audited path must still compute the right answer.
     let (_, beta_ref) = refblas::apps::axpydot(&wv, &vv, &uv, 0.8);

@@ -26,7 +26,8 @@ use std::sync::Arc;
 
 use fblas_chaos::{FaultAction, FaultPlan, FaultSite};
 use fblas_core::composition::{
-    execute_plan_with_recovery, plan, ExecError, Op, PlannerConfig, Program, RetryPolicy,
+    execute_plan_with_recovery_backend, plan, Backend, ExecError, Op, PlannerConfig, Program,
+    RetryPolicy,
 };
 use fblas_core::host::DeviceBuffer;
 use fblas_metrics::flight::{self, AnomalyKind};
@@ -106,7 +107,7 @@ fn main() {
             FaultAction::Corrupt { bit: 7 },
         );
     }
-    let err = execute_plan_with_recovery::<f64>(
+    let err = execute_plan_with_recovery_backend::<f64>(
         &program,
         &planned,
         &cfg,
@@ -117,6 +118,7 @@ fn main() {
         },
         Some(Arc::new(hook)),
         None,
+        Backend::resolve(),
     )
     .expect_err("every attempt is corrupted; the budget must exhaust");
     assert!(

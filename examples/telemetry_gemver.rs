@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 
-use fblas_core::composition::{execute_plan_with_recovery, plan, RetryPolicy};
+use fblas_core::composition::{execute_plan_with_recovery_backend, plan, Backend, RetryPolicy};
 use fblas_core::host::DeviceBuffer;
 use fblas_lint::{classify, lint_json, Document};
 use fblas_metrics::expo;
@@ -91,7 +91,7 @@ fn main() {
     })
     .collect();
     let tracer = Tracer::new();
-    let (_, report) = execute_plan_with_recovery::<f64>(
+    let (_, report) = execute_plan_with_recovery_backend::<f64>(
         &program,
         &planned,
         &cfg,
@@ -99,6 +99,7 @@ fn main() {
         &RetryPolicy::default(),
         None,
         Some(&tracer),
+        Backend::resolve(),
     )
     .expect("GEMVER executes");
 

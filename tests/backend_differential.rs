@@ -20,7 +20,9 @@
 //! 220 seeded random programs (relay chains, reductions, GEMVs over
 //! shared operands) run in four blocks, with a non-vacuity floor on how
 //! many actually fused — a differential that never fuses proves
-//! nothing.
+//! nothing. The 55 seeds of block 0 also run through the plain and the
+//! hook-free recovery entry points on both backends, which must produce
+//! the audited run's bits.
 
 // Test code may unwrap; the clippy.toml discipline targets library code.
 #![allow(clippy::disallowed_methods)]
@@ -30,8 +32,9 @@ use std::sync::Arc;
 
 use fblas_chaos::{FaultAction, FaultPlan, FaultSite};
 use fblas_core::composition::{
-    execute_plan_audited_with_backend, execute_plan_with_recovery_backend,
-    fusion_plan_for_component, plan, Backend, Op, Plan, PlannerConfig, Program, RetryPolicy,
+    execute_plan_audited_with_backend, execute_plan_with_backend,
+    execute_plan_with_recovery_backend, fusion_plan_for_component, plan, Backend, Op, Plan,
+    PlannerConfig, Program, RetryPolicy,
 };
 use fblas_core::host::DeviceBuffer;
 
@@ -183,11 +186,21 @@ fn bind(shapes: &Shapes, seed: u64) -> HashMap<String, DeviceBuffer<f32>> {
 
 /// Everything observable from one end-to-end run, reduced to exact
 /// bits: operand buffers (sorted by name), DOT scalars (sorted), and
-/// the analytic model's predicted cycles per component.
+/// the analytic model's predicted cycles per component (audited runs
+/// only).
 struct Observed {
     buffer_bits: Vec<(String, Vec<u32>)>,
     scalar_bits: Vec<(String, u32)>,
     predicted_cycles: Vec<u64>,
+}
+
+/// The executor entry point a run goes through.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    Audited,
+    Plain,
+    /// Staged write-back with no fault hook armed.
+    Recovery,
 }
 
 fn run_backend(
@@ -197,12 +210,41 @@ fn run_backend(
     shapes: &Shapes,
     seed: u64,
     backend: Backend,
+    entry: Entry,
 ) -> Observed {
     let bufs = bind(shapes, seed);
-    let (out, audits) = execute_plan_audited_with_backend::<f32>(
-        program, planned, cfg, &bufs, 200.0e6, 0.25, backend,
-    )
-    .unwrap_or_else(|e| panic!("seed {seed} {}: {e}", backend.as_str()));
+    let fail = |e: &dyn std::fmt::Display| -> ! {
+        panic!("seed {seed} {} {entry:?}: {e}", backend.as_str())
+    };
+    let (out, predicted_cycles) = match entry {
+        Entry::Audited => {
+            let (out, audits) = execute_plan_audited_with_backend::<f32>(
+                program, planned, cfg, &bufs, 200.0e6, 0.25, backend,
+            )
+            .unwrap_or_else(|e| fail(&e));
+            (out, audits.iter().map(|a| a.predicted_cycles).collect())
+        }
+        Entry::Plain => (
+            execute_plan_with_backend::<f32>(program, planned, cfg, &bufs, None, backend)
+                .unwrap_or_else(|e| fail(&e)),
+            Vec::new(),
+        ),
+        Entry::Recovery => (
+            execute_plan_with_recovery_backend::<f32>(
+                program,
+                planned,
+                cfg,
+                &bufs,
+                &RetryPolicy::default(),
+                None,
+                None,
+                backend,
+            )
+            .unwrap_or_else(|e| fail(&e))
+            .0,
+            Vec::new(),
+        ),
+    };
     let mut buffer_bits: Vec<(String, Vec<u32>)> = shapes
         .buffers
         .iter()
@@ -223,13 +265,16 @@ fn run_backend(
     Observed {
         buffer_bits,
         scalar_bits,
-        predicted_cycles: audits.iter().map(|a| a.predicted_cycles).collect(),
+        predicted_cycles,
     }
 }
 
 /// Run one seed block; returns how many fused regions the population's
 /// plans admitted (legality side, recovery disarmed) for non-vacuity.
-fn run_seed_block(seeds: std::ops::Range<u64>, floor_regions: u64) {
+/// With `all_entries`, every seed additionally runs through the plain
+/// and the hook-free recovery entry points on both backends, whose bits
+/// must equal the audited run's.
+fn run_seed_block(seeds: std::ops::Range<u64>, floor_regions: u64, all_entries: bool) {
     let cfg = PlannerConfig::default();
     let mut regions = 0u64;
     for seed in seeds {
@@ -239,8 +284,26 @@ fn run_seed_block(seeds: std::ops::Range<u64>, floor_regions: u64) {
             let (_, fp) = fusion_plan_for_component(&program, c, false);
             regions += fp.regions.len() as u64;
         }
-        let threaded = run_backend(&program, &planned, &cfg, &shapes, seed, Backend::Threaded);
-        let fused = run_backend(&program, &planned, &cfg, &shapes, seed, Backend::Fused);
+        let run =
+            |backend, entry| run_backend(&program, &planned, &cfg, &shapes, seed, backend, entry);
+        let threaded = run(Backend::Threaded, Entry::Audited);
+        let fused = run(Backend::Fused, Entry::Audited);
+        if all_entries {
+            for (backend, audited) in [(Backend::Threaded, &threaded), (Backend::Fused, &fused)] {
+                for entry in [Entry::Plain, Entry::Recovery] {
+                    let other = run(backend, entry);
+                    let at = format!("seed {seed} {} {entry:?}", backend.as_str());
+                    assert_eq!(
+                        other.buffer_bits, audited.buffer_bits,
+                        "{at}: operand buffers differ from the audited run"
+                    );
+                    assert_eq!(
+                        other.scalar_bits, audited.scalar_bits,
+                        "{at}: DOT scalars differ from the audited run"
+                    );
+                }
+            }
+        }
         for ((tn, tb), (fn_, fb)) in threaded.buffer_bits.iter().zip(&fused.buffer_bits) {
             assert_eq!(tn, fn_, "seed {seed}: buffer sets differ");
             assert_eq!(tb, fb, "seed {seed}: operand `{tn}` not bit-identical");
@@ -264,19 +327,19 @@ fn run_seed_block(seeds: std::ops::Range<u64>, floor_regions: u64) {
 // must admit at least 8 fused regions (≥ 32 total).
 #[test]
 fn backends_are_bit_identical_block0() {
-    run_seed_block(0..55, 8);
+    run_seed_block(0..55, 8, true);
 }
 #[test]
 fn backends_are_bit_identical_block1() {
-    run_seed_block(55..110, 8);
+    run_seed_block(55..110, 8, false);
 }
 #[test]
 fn backends_are_bit_identical_block2() {
-    run_seed_block(110..165, 8);
+    run_seed_block(110..165, 8, false);
 }
 #[test]
 fn backends_are_bit_identical_block3() {
-    run_seed_block(165..220, 8);
+    run_seed_block(165..220, 8, false);
 }
 
 // ------------------------------------------------------------------

@@ -15,8 +15,8 @@ use std::time::Duration;
 
 use fblas_chaos::{FaultAction, FaultPlan, FaultSite, ModuleFault};
 use fblas_core::composition::{
-    execute_plan_with_recovery, plan, ExecError, Op, PlannerConfig, Program, RecoveryErrorKind,
-    RetryPolicy,
+    execute_plan_with_recovery_backend, plan, Backend, ExecError, Op, PlannerConfig, Program,
+    RecoveryErrorKind, RetryPolicy,
 };
 use fblas_core::host::DeviceBuffer;
 use fblas_hlssim::{channel, ChunkWriter, ModuleKind, SimError, Simulation};
@@ -147,7 +147,7 @@ fn seeded_recovery_runs_are_byte_identical() {
                 .module_fault("gemv", ModuleFault::Crash),
         );
         let b = bufs(&bindings);
-        let (_, report) = execute_plan_with_recovery::<f64>(
+        let (_, report) = execute_plan_with_recovery_backend::<f64>(
             &program,
             &planned,
             &cfg,
@@ -158,6 +158,7 @@ fn seeded_recovery_runs_are_byte_identical() {
             },
             Some(hook.clone()),
             None,
+            Backend::resolve(),
         )
         .expect("recovers within budget");
         (
@@ -195,7 +196,7 @@ fn exhausted_retries_do_not_leak_corrupt_writes() {
         5,
         FaultAction::Corrupt { bit: 61 },
     ));
-    let err = execute_plan_with_recovery::<f64>(
+    let err = execute_plan_with_recovery_backend::<f64>(
         &program,
         &planned,
         &cfg,
@@ -206,6 +207,7 @@ fn exhausted_retries_do_not_leak_corrupt_writes() {
         },
         Some(hook),
         None,
+        Backend::resolve(),
     )
     .expect_err("single attempt cannot absorb the fault");
     assert!(
@@ -295,7 +297,7 @@ fn single_bit_flips_are_always_detected_across_routines() {
         let planned = plan(&program, &cfg).unwrap();
         // Fault-free reference.
         let clean = bufs(&bindings);
-        let (clean_out, _) = execute_plan_with_recovery::<f64>(
+        let (clean_out, _) = execute_plan_with_recovery_backend::<f64>(
             &program,
             &planned,
             &cfg,
@@ -303,6 +305,7 @@ fn single_bit_flips_are_always_detected_across_routines() {
             &RetryPolicy::default(),
             None,
             None,
+            Backend::resolve(),
         )
         .unwrap();
         for bit in [0u32, 1, 26, 51, 62, 63] {
@@ -314,7 +317,7 @@ fn single_bit_flips_are_always_detected_across_routines() {
                 FaultAction::Corrupt { bit },
             ));
             let b = bufs(&bindings);
-            let (out, rec) = execute_plan_with_recovery::<f64>(
+            let (out, rec) = execute_plan_with_recovery_backend::<f64>(
                 &program,
                 &planned,
                 &cfg,
@@ -325,6 +328,7 @@ fn single_bit_flips_are_always_detected_across_routines() {
                 },
                 Some(hook),
                 None,
+                Backend::resolve(),
             )
             .unwrap_or_else(|e| panic!("{name} bit {bit}: not recovered: {e}"));
             assert_eq!(

@@ -9,7 +9,8 @@ use std::time::Duration;
 
 use fblas_chaos::{FaultAction, FaultPlan, FaultSite};
 use fblas_core::composition::{
-    execute_plan_with_recovery, plan, ExecError, Op, PlannerConfig, Program, RetryPolicy,
+    execute_plan_with_recovery_backend, plan, Backend, ExecError, Op, PlannerConfig, Program,
+    RetryPolicy,
 };
 use fblas_core::host::DeviceBuffer;
 use fblas_hlssim::{channel, ModuleKind, SimError, Simulation};
@@ -156,7 +157,7 @@ fn run_exhaustion() -> Arc<PostmortemBundle> {
     let _run = fblas_metrics::RunScope::seeded(0xF11A);
     let (program, cfg, buffers, hook) = gemv_exhaustion_case();
     let planned = plan(&program, &cfg).expect("gemv plans");
-    let err = execute_plan_with_recovery::<f64>(
+    let err = execute_plan_with_recovery_backend::<f64>(
         &program,
         &planned,
         &cfg,
@@ -167,6 +168,7 @@ fn run_exhaustion() -> Arc<PostmortemBundle> {
         },
         Some(Arc::new(hook)),
         None,
+        Backend::resolve(),
     )
     .expect_err("every attempt is corrupted");
     assert!(matches!(err.error, ExecError::Corrupt { .. }));
@@ -240,7 +242,7 @@ fn concurrent_failing_runs_write_distinct_postmortems() {
                 let (program, cfg, buffers, hook) = gemv_exhaustion_case();
                 let planned = plan(&program, &cfg).expect("gemv plans");
                 barrier.wait();
-                execute_plan_with_recovery::<f64>(
+                execute_plan_with_recovery_backend::<f64>(
                     &program,
                     &planned,
                     &cfg,
@@ -251,6 +253,7 @@ fn concurrent_failing_runs_write_distinct_postmortems() {
                     },
                     Some(Arc::new(hook)),
                     None,
+                    Backend::resolve(),
                 )
                 .expect_err("every attempt is corrupted");
                 run.id().to_string()

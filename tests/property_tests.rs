@@ -449,7 +449,7 @@ proptest! {
         allow_deep in proptest::bool::ANY,
     ) {
         use std::collections::HashMap;
-        use fblas_core::composition::{execute_plan, interpret, plan, Op, PlannerConfig, Program};
+        use fblas_core::composition::{execute_plan_with_backend, Backend, interpret, plan, Op, PlannerConfig, Program};
         use fblas_core::host::DeviceBuffer;
 
         let mut p = Program::new();
@@ -571,7 +571,7 @@ proptest! {
 
         let cfg = PlannerConfig { tn, tm, allow_deep_channels: allow_deep, ..Default::default() };
         let the_plan = plan(&p, &cfg).unwrap();
-        let outcome = execute_plan::<f64>(&p, &the_plan, &cfg, &buffers).unwrap();
+        let outcome = execute_plan_with_backend::<f64>(&p, &the_plan, &cfg, &buffers, None, Backend::resolve()).unwrap();
         let expected = interpret(&p, &inputs).unwrap();
 
         for (name, buf) in &buffers {

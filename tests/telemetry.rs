@@ -11,7 +11,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use fblas_core::composition::{execute_plan_with_recovery, plan, Op, PlannerConfig, Program};
+use fblas_core::composition::{
+    execute_plan_with_recovery_backend, plan, Backend, Op, PlannerConfig, Program,
+};
 use fblas_core::host::DeviceBuffer;
 use fblas_hlssim::{channel, ChannelStats, ModuleKind, Simulation};
 use fblas_metrics::expo;
@@ -146,7 +148,7 @@ fn recovery_run_id_correlates_across_exposition_surfaces() {
     let planned = plan(&program, &cfg).unwrap();
     let scope = fblas_metrics::RunScope::seeded(2024);
     let run_id = scope.id().to_string();
-    let (_, report) = execute_plan_with_recovery::<f64>(
+    let (_, report) = execute_plan_with_recovery_backend::<f64>(
         &program,
         &planned,
         &cfg,
@@ -154,6 +156,7 @@ fn recovery_run_id_correlates_across_exposition_surfaces() {
         &Default::default(),
         None,
         None,
+        Backend::resolve(),
     )
     .expect("clean gemv recovers trivially");
 
@@ -199,7 +202,7 @@ fn without_a_scope_no_run_id_leaks_into_any_surface() {
 
     let (program, cfg, buffers) = gemv_program();
     let planned = plan(&program, &cfg).unwrap();
-    let (_, report) = execute_plan_with_recovery::<f64>(
+    let (_, report) = execute_plan_with_recovery_backend::<f64>(
         &program,
         &planned,
         &cfg,
@@ -207,6 +210,7 @@ fn without_a_scope_no_run_id_leaks_into_any_surface() {
         &Default::default(),
         None,
         None,
+        Backend::resolve(),
     )
     .unwrap();
     assert_eq!(report.run_id, None);
