@@ -32,6 +32,12 @@ step "perfbench build"
 # crates by path; a public-API change that breaks it must fail here.
 cargo build --release --manifest-path perfbench/Cargo.toml
 
+step "perfbench self-tests"
+# Seed determinism, mix proportions, the percentile and self-time
+# rules, snapshot merging: the benchmark's own checks, built with the
+# release profile of the step above.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 step "BENCH_*.json schema"
 # table1 is the cheapest bin (pure model, no CPU measurement); its output
 # must match the stable schema every bench binary shares.

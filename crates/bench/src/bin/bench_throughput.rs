@@ -10,6 +10,15 @@
 //! bit-identical numeric results and identical modeled cycle counts
 //! across all chunk sizes before writing the report.
 //!
+//! A second table times small problems — DOT at
+//! n ∈ {16, 64, 256, 1024, 4096} and n×n GEMV at n ∈ {16, 64, 256,
+//! 1024}, the median of 21 runs each at the default chunk size — where
+//! the simulator's fixed per-run cost (thread spawn, watchdog wake-up,
+//! teardown) rather than the streamed work sets the wall time. Their
+//! rows are `dot_latency` and `gemv_latency`, with the median in
+//! `cpu_run_us`. (A 4096×4096 GEMV streams 16 M elements from a 128 MiB
+//! matrix: not a small problem, so it has no row.)
+//!
 //! ```text
 //! cargo run --release -p fblas-bench --bin bench_throughput
 //! ```
@@ -26,15 +35,18 @@ use fblas_core::apps::gemver_streaming;
 use fblas_core::helpers;
 use fblas_core::host::{DeviceBuffer, Fpga, GemvTuning};
 use fblas_core::routines::{Dot, Gemv, GemvVariant, Ger};
-use fblas_hlssim::{channel, streamed_cycles, Simulation};
+use fblas_hlssim::{channel, default_chunk, streamed_cycles, Simulation};
 
 const CHUNKS: [usize; 3] = [1, 16, 256];
 const REPS: usize = 3;
 
+const DOT_LATENCY_NS: &[usize] = &[16, 64, 256, 1024, 4096];
+const GEMV_LATENCY_NS: &[usize] = &[16, 64, 256, 1024];
+const LATENCY_RUNS: usize = 21;
+
 const DOT_N: usize = 1 << 18;
 const DOT_W: usize = 8;
 const GEMV_N: usize = 256;
-const GEMV_M: usize = 256;
 const GEMV_T: usize = 64;
 const GEMV_W: usize = 8;
 const GEMVER_N: usize = 128;
@@ -55,14 +67,15 @@ struct Sample {
 }
 
 /// DOT over two seeded f64 streams; the simulation moves 2n elements in
-/// and 1 out.
-fn run_dot() -> Sample {
-    let x = seq(DOT_N, 1.0);
-    let y = seq(DOT_N, 2.0);
-    let cfg = Dot::new(DOT_N, DOT_W);
-    let mut wall = f64::INFINITY;
-    let mut result = 0.0f64;
-    for _ in 0..REPS {
+/// and 1 out. Returns `reps` timed runs; the result is checked to be
+/// identical across them.
+fn dot_runs(n: usize, reps: usize) -> (Vec<f64>, Sample) {
+    let x = seq(n, 1.0);
+    let y = seq(n, 2.0);
+    let cfg = Dot::new(n, DOT_W);
+    let mut walls = Vec::with_capacity(reps);
+    let mut result: Option<f64> = None;
+    for _ in 0..reps {
         let mut sim = Simulation::new();
         let x_buf = DeviceBuffer::from_vec("x", x.clone(), 0);
         let y_buf = DeviceBuffer::from_vec("y", y.clone(), 0);
@@ -76,33 +89,30 @@ fn run_dot() -> Sample {
         helpers::write_scalar(&mut sim, &res_buf, rr);
         let t0 = Instant::now();
         sim.run().expect("dot composition runs");
-        wall = wall.min(t0.elapsed().as_secs_f64());
-        result = res_buf.get(0);
+        walls.push(t0.elapsed().as_secs_f64());
+        let r = res_buf.get(0);
+        assert_eq!(*result.get_or_insert(r), r, "dot n={n}: runs disagree");
     }
-    Sample {
-        elements: 2 * DOT_N as u64 + 1,
+    let sample = Sample {
+        elements: 2 * n as u64 + 1,
         model_cycles: cfg.cost::<f64>().cycles(),
-        wall,
-        result_bits: vec![result.to_bits()],
-    }
+        wall: walls.iter().copied().fold(f64::INFINITY, f64::min),
+        result_bits: result.into_iter().map(f64::to_bits).collect(),
+    };
+    (walls, sample)
 }
 
-/// Tiled row-streamed GEMV with the full reader/writer interface chain.
-fn run_gemv() -> Sample {
-    let cfg = Gemv::new(
-        GemvVariant::RowStreamed,
-        GEMV_N,
-        GEMV_M,
-        GEMV_T,
-        GEMV_T,
-        GEMV_W,
-    );
-    let a = seq(GEMV_N * GEMV_M, 1.0);
+/// Tiled row-streamed n×n GEMV (tiles of `min(n, 64)`) with the full
+/// reader/writer interface chain; `reps` timed runs as for [`dot_runs`].
+fn gemv_runs(n: usize, reps: usize) -> (Vec<f64>, Sample) {
+    let t = n.min(GEMV_T);
+    let cfg = Gemv::new(GemvVariant::RowStreamed, n, n, t, t, GEMV_W);
+    let a = seq(n * n, 1.0);
     let x = seq(cfg.x_len(), 2.0);
     let y = seq(cfg.y_len(), 3.0);
-    let mut wall = f64::INFINITY;
-    let mut result: Vec<f64> = Vec::new();
-    for _ in 0..REPS {
+    let mut walls = Vec::with_capacity(reps);
+    let mut result: Option<Vec<f64>> = None;
+    for _ in 0..reps {
         let mut sim = Simulation::new();
         let a_buf = DeviceBuffer::from_vec("a", a.clone(), 0);
         let x_buf = DeviceBuffer::from_vec("x", x.clone(), 0);
@@ -112,22 +122,37 @@ fn run_gemv() -> Sample {
         let (txv, rxv) = channel(sim.ctx(), 64, "x");
         let (ty_in, ry_in) = channel(sim.ctx(), 64, "y_in");
         let (ty_out, ry_out) = channel(sim.ctx(), 64, "y_out");
-        helpers::read_matrix(&mut sim, &a_buf, GEMV_N, GEMV_M, cfg.a_tiling(), ta, 1);
+        helpers::read_matrix(&mut sim, &a_buf, n, n, cfg.a_tiling(), ta, 1);
         helpers::read_vector_replayed(&mut sim, &x_buf, txv, cfg.x_repetitions());
         helpers::read_vector(&mut sim, &y_buf, ty_in);
         cfg.attach(&mut sim, 1.3, 0.7, ra, rxv, ry_in, ty_out);
         helpers::write_vector(&mut sim, &out_buf, cfg.y_len(), ry_out);
         let t0 = Instant::now();
         sim.run().expect("gemv composition runs");
-        wall = wall.min(t0.elapsed().as_secs_f64());
-        result = out_buf.to_host();
+        walls.push(t0.elapsed().as_secs_f64());
+        let r = out_buf.to_host();
+        assert_eq!(
+            result.get_or_insert_with(|| r.clone()),
+            &r,
+            "gemv n={n}: runs disagree"
+        );
     }
-    Sample {
+    let sample = Sample {
         elements: cfg.io_ops(),
         model_cycles: cfg.cost::<f64>().cycles(),
-        wall,
-        result_bits: result.iter().map(|v| v.to_bits()).collect(),
-    }
+        wall: walls.iter().copied().fold(f64::INFINITY, f64::min),
+        result_bits: result
+            .unwrap_or_default()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect(),
+    };
+    (walls, sample)
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 /// The composed GEMVER application (two GERs, two GEMVs, fan-out,
@@ -193,8 +218,11 @@ fn main() {
     );
 
     type Runner = fn() -> Sample;
-    let runners: [(&str, Runner); 3] =
-        [("dot", run_dot), ("gemv", run_gemv), ("gemver", run_gemver)];
+    let runners: [(&str, Runner); 3] = [
+        ("dot", || dot_runs(DOT_N, REPS).1),
+        ("gemv", || gemv_runs(GEMV_N, REPS).1),
+        ("gemver", run_gemver),
+    ];
 
     for (name, runner) in runners {
         let mut reference: Option<Sample> = None;
@@ -243,6 +271,36 @@ fn main() {
         }
     }
     std::env::remove_var("FBLAS_CHUNK");
+
+    println!("\n=== Small-problem run latency (median of {LATENCY_RUNS} runs) ===\n");
+    println!(
+        "{:<14} {:>6} {:>10} {:>12} {:>12}",
+        "routine", "n", "elements", "model_cyc", "run_us"
+    );
+    type LatencyRunner = fn(usize, usize) -> (Vec<f64>, Sample);
+    let latency: [(&str, LatencyRunner, &[usize]); 2] = [
+        ("dot_latency", dot_runs, DOT_LATENCY_NS),
+        ("gemv_latency", gemv_runs, GEMV_LATENCY_NS),
+    ];
+    for (name, runner, sizes) in latency {
+        for &n in sizes {
+            let (walls, s) = runner(n, LATENCY_RUNS);
+            let run_us = median(walls) * 1e6;
+            println!(
+                "{:<14} {:>6} {:>10} {:>12} {:>12.1}",
+                name, n, s.elements, s.model_cycles, run_us
+            );
+            report.add_row([
+                ("routine", Cell::from(name)),
+                ("chunk", Cell::from(default_chunk() as u64)),
+                ("n", Cell::from(n as u64)),
+                ("elements", Cell::from(s.elements)),
+                ("model_cycles", Cell::from(s.model_cycles)),
+                ("runs", Cell::from(LATENCY_RUNS as u64)),
+                ("cpu_run_us", Cell::from(run_us)),
+            ]);
+        }
+    }
 
     let path = report.write().expect("write BENCH_throughput.json");
     println!("\nreport: {}", path.display());

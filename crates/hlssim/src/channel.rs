@@ -10,9 +10,10 @@
 //! Channels are registered with a [`SimContext`] so the
 //! simulation watchdog can observe global progress (a monotonically
 //! increasing *epoch*, bumped on every successful transfer) and the number
-//! of threads currently blocked. Blocking waits use short timed waits and
-//! re-check the context poison flag, so stall detection never needs to
-//! enumerate channels to wake sleepers.
+//! of threads currently blocked; the wait that blocks the last live module
+//! wakes the watchdog. Blocking waits use short timed waits and re-check
+//! the context poison flag, so stall detection never needs to enumerate
+//! channels to wake sleepers.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -125,7 +126,8 @@ struct ChannelCore<T> {
 /// Alongside the counter, the guard files a [`Waiter`] record (module,
 /// channel, direction) in the context's wait-for table so stall detection
 /// can report *who* is stuck on *what* rather than just *that* the graph
-/// froze.
+/// froze. The guard that makes `blocked` reach `live` tells the watchdog
+/// (see [`CtxShared::note_onset`]): that is when a stall's grace starts.
 struct BlockGuard<'a> {
     ctx: &'a CtxShared,
     id: u64,
@@ -133,7 +135,7 @@ struct BlockGuard<'a> {
 
 impl<'a> BlockGuard<'a> {
     fn new(ctx: &'a CtxShared, channel: &Arc<str>, direction: WaitDirection) -> Self {
-        ctx.blocked.fetch_add(1, Ordering::AcqRel);
+        let blocked = ctx.blocked.fetch_add(1, Ordering::AcqRel) + 1;
         let id = ctx.waiter_seq.fetch_add(1, Ordering::Relaxed);
         ctx.waiters.lock().insert(
             id,
@@ -143,6 +145,10 @@ impl<'a> BlockGuard<'a> {
                 direction,
             },
         );
+        let live = ctx.live.load(Ordering::Acquire);
+        if live > 0 && blocked >= live {
+            ctx.note_onset();
+        }
         BlockGuard { ctx, id }
     }
 }

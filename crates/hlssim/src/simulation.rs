@@ -11,6 +11,13 @@
 //! unblocking everyone with [`SimError::Poisoned`] and reporting
 //! [`SimError::Stall`] to the caller.
 //!
+//! The watchdog is event-driven: it sleeps on a condition variable that
+//! the last module thread to finish signals, and that a channel signals
+//! when its blocking wait makes `blocked` reach `live` (the onset of a
+//! possible freeze). Its only timeouts are the ones that mean something:
+//! the stall grace measured from that onset, the run deadline, and — only
+//! with a tracer or the metrics runtime armed — the occupancy sample tick.
+//!
 //! Panic audit: every `unwrap`/`panic!` in this module lives in test
 //! code or doc examples. Module closures that panic are caught by the
 //! runner and surfaced as [`SimError::Module`]; configuration supplied
@@ -24,7 +31,7 @@ use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
 use fblas_trace::{ModuleScope, Tracer};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use serde::Serialize;
 
 use crate::channel::ChannelStats;
@@ -74,11 +81,11 @@ pub(crate) struct CtxShared {
     pub(crate) live: AtomicUsize,
     /// Once set, all channel operations fail with `Poisoned`.
     pub(crate) poisoned: AtomicBool,
-    /// Probes of every channel created against this context. Strong
-    /// references: a channel's statistics outlive its endpoints so the
-    /// final report can include them (the context itself is dropped
-    /// when the run ends).
-    pub(crate) probes: Mutex<Vec<Arc<dyn ChannelProbe>>>,
+    /// Watchdog wake-up state; see [`CtxShared::note_onset`] and
+    /// [`CtxShared::retire_module`].
+    pub(crate) watch: Mutex<Watch>,
+    /// Signalled when the watchdog has something new to look at.
+    pub(crate) watch_cv: Condvar,
     /// Wait-for table: one entry per thread currently blocked on a
     /// channel, keyed by a registration id. The watchdog snapshots this
     /// (copy out, then release the lock) *before* poisoning, so the
@@ -98,7 +105,45 @@ pub(crate) struct CtxShared {
     pub(crate) poison_cause: Mutex<Option<String>>,
 }
 
+/// What the watchdog needs to time a stall without polling, guarded by
+/// [`CtxShared::watch`].
+#[derive(Default)]
+pub(crate) struct Watch {
+    /// The watchdog has a stall check scheduled (it last saw
+    /// `blocked >= live`), so a new onset only needs recording: the
+    /// check reads it when it fires.
+    stall_check_armed: bool,
+    /// When `blocked` last reached `live`, and the progress epoch then.
+    onset: Option<(Instant, u64)>,
+}
+
 impl CtxShared {
+    /// Record that every live module may now be channel-blocked — the
+    /// caller just made `blocked` reach `live` — and wake the watchdog
+    /// unless it already has a stall check scheduled.
+    pub(crate) fn note_onset(&self) {
+        let epoch = self.epoch.load(Ordering::Acquire);
+        let mut watch = self.watch.lock();
+        watch.onset = Some((Instant::now(), epoch));
+        if !watch.stall_check_armed {
+            drop(watch);
+            self.watch_cv.notify_one();
+        }
+    }
+
+    /// Retire one module thread: the last one out wakes the watchdog,
+    /// and one whose exit leaves every remaining module blocked is a
+    /// freeze onset like any other.
+    fn retire_module(&self) {
+        let live = self.live.fetch_sub(1, Ordering::AcqRel) - 1;
+        if live == 0 {
+            let _watch = self.watch.lock();
+            self.watch_cv.notify_one();
+        } else if self.blocked.load(Ordering::Acquire) >= live {
+            self.note_onset();
+        }
+    }
+
     /// Consult the armed hook for a channel-payload fault. Callers check
     /// `fault_armed` first; this takes the hook lock.
     pub(crate) fn fault_for(
@@ -188,23 +233,34 @@ impl Drop for PanicPoisonScope {
     }
 }
 
+/// Probes of every channel created against one context, in creation
+/// order. Strong references, so a channel's statistics and integrity
+/// guard outlive its endpoints and can be read after the run. Only
+/// [`SimContext`] handles hold the registry — channels hold
+/// [`CtxShared`], which never points back at it — so dropping the last
+/// handle frees the registry, every channel core and its FIFO.
+type Probes = Arc<Mutex<Vec<Arc<dyn ChannelProbe>>>>;
+
 /// Handle to the shared state; create channels against it and pass it to a
 /// [`Simulation`].
 #[derive(Clone)]
 pub struct SimContext {
     shared: Arc<CtxShared>,
+    probes: Probes,
 }
 
 impl SimContext {
     /// Create a fresh context with zeroed counters.
     pub fn new() -> Self {
         SimContext {
+            probes: Probes::default(),
             shared: Arc::new(CtxShared {
                 epoch: AtomicU64::new(0),
                 blocked: AtomicUsize::new(0),
                 live: AtomicUsize::new(0),
                 poisoned: AtomicBool::new(false),
-                probes: Mutex::new(Vec::new()),
+                watch: Mutex::new(Watch::default()),
+                watch_cv: Condvar::new(),
                 waiters: Mutex::new(HashMap::new()),
                 waiter_seq: AtomicU64::new(0),
                 fault: Mutex::new(None),
@@ -217,8 +273,7 @@ impl SimContext {
     /// Snapshot the statistics of every channel created against this
     /// context that is still alive, in creation order.
     pub fn channel_stats(&self) -> Vec<(String, ChannelStats)> {
-        self.shared
-            .probes
+        self.probes
             .lock()
             .iter()
             .map(|p| (p.probe_name(), p.probe_stats()))
@@ -230,7 +285,7 @@ impl SimContext {
     }
 
     pub(crate) fn register_probe(&self, probe: Arc<dyn ChannelProbe>) {
-        self.shared.probes.lock().push(probe);
+        self.probes.lock().push(probe);
     }
 
     /// Poison the context: every pending and future channel operation on
@@ -285,8 +340,7 @@ impl SimContext {
     /// a fault hook was armed, in creation order. Empty if faults were
     /// never armed.
     pub fn guard_reports(&self) -> Vec<GuardReport> {
-        self.shared
-            .probes
+        self.probes
             .lock()
             .iter()
             .filter_map(|p| p.probe_guard())
@@ -405,14 +459,15 @@ pub fn parse_wait_slice_us(raw: Option<&str>) -> Duration {
 /// releasing it: channel threads take `waiters` while holding their state
 /// lock, and the occupancy probe needs that state lock, so holding both
 /// here could deadlock the watchdog itself.
-fn snapshot_stall(shared: &CtxShared, grace: Duration, epoch: u64) -> StallReport {
-    let waiting: Vec<(Option<Arc<str>>, Arc<str>, WaitDirection)> = shared
+fn snapshot_stall(ctx: &SimContext, grace: Duration, epoch: u64) -> StallReport {
+    let waiting: Vec<(Option<Arc<str>>, Arc<str>, WaitDirection)> = ctx
+        .shared
         .waiters
         .lock()
         .values()
         .map(|w| (w.module.clone(), w.channel.clone(), w.direction))
         .collect();
-    let probes = shared.probes.lock();
+    let probes = ctx.probes.lock();
     let mut blocked: Vec<BlockedModule> = waiting
         .into_iter()
         .map(|(module, channel, direction)| {
@@ -447,15 +502,12 @@ fn capture_sim_postmortem(
     detail: String,
     culprit: Option<String>,
     stall: Option<&StallReport>,
-    shared: &Arc<CtxShared>,
+    ctx: &SimContext,
 ) {
     if !fblas_metrics::flight::armed() {
         return;
     }
-    let guards = SimContext {
-        shared: shared.clone(),
-    }
-    .guard_reports();
+    let guards = ctx.guard_reports();
     crate::postmortem::capture(
         fblas_metrics::flight::Trigger {
             kind: kind.to_string(),
@@ -469,6 +521,140 @@ fn capture_sim_postmortem(
         None,
         None,
     );
+}
+
+/// How the watchdog's vigil over one run ended.
+enum Verdict {
+    /// Every module thread returned.
+    Completed,
+    /// Every live module sat channel-blocked with the epoch frozen for
+    /// the grace period.
+    Stalled(StallReport),
+    /// The run deadline expired first.
+    Deadline(StallReport),
+}
+
+/// Occupancy, metrics and flight-recorder sampling cadence while a tracer
+/// or the metrics runtime is armed.
+const SAMPLE_TICK: Duration = Duration::from_millis(5);
+
+/// The watchdog: sleep until a module retires, a channel wait makes
+/// `blocked` reach `live`, the stall grace measured from that onset
+/// runs out, the deadline expires, or the next sample is due — then
+/// decide. Returns once every module has retired, or after snapshotting
+/// the wait-for graph and poisoning the context (stall, deadline).
+fn watch(
+    ctx: &SimContext,
+    grace: Duration,
+    deadline: Option<Duration>,
+    tracer: Option<&Tracer>,
+    start: Instant,
+) -> Verdict {
+    let shared = &ctx.shared;
+    let metrics_reg = fblas_metrics::registry();
+    let flight_rec = fblas_metrics::flight::recorder();
+    let sampling = tracer.is_some() || metrics_reg.is_some();
+    let deadline_at = deadline.map(|dl| start + dl);
+    // The first pass doubles as a sampling tick, so even a run that
+    // retires at once leaves one occupancy sample per channel.
+    let mut next_sample = start;
+    loop {
+        let live = shared.live.load(Ordering::Acquire);
+        if sampling && (live == 0 || Instant::now() >= next_sample) {
+            sample(ctx, tracer, metrics_reg.as_ref(), flight_rec.as_ref());
+            next_sample = Instant::now() + SAMPLE_TICK;
+        }
+        if live == 0 {
+            return Verdict::Completed;
+        }
+        if let Some(dl) = deadline.filter(|&dl| start.elapsed() >= dl) {
+            // Same forensics discipline as a stall: snapshot whatever
+            // wait-for edges exist before poisoning wakes (and
+            // deregisters) every blocked thread.
+            let epoch = shared.epoch.load(Ordering::Acquire);
+            let report = snapshot_stall(ctx, dl, epoch);
+            shared.poisoned.store(true, Ordering::Release);
+            return Verdict::Deadline(report);
+        }
+        // The counters are read under the watch lock and the lock is
+        // held into the wait, so a notifier that changes them after the
+        // read cannot signal before the wait begins.
+        let mut w = shared.watch.lock();
+        let live = shared.live.load(Ordering::Acquire);
+        if live == 0 {
+            continue;
+        }
+        let blocked = shared.blocked.load(Ordering::Acquire);
+        let epoch = shared.epoch.load(Ordering::Acquire);
+        let now = Instant::now();
+        let mut stall_at = None;
+        w.stall_check_armed = blocked >= live;
+        if blocked >= live {
+            // Frozen since the latest onset, unless the epoch moved
+            // after it: then the freeze can only have begun now.
+            let frozen_since = match w.onset {
+                Some((at, e)) if e == epoch => at,
+                _ => {
+                    w.onset = Some((now, epoch));
+                    now
+                }
+            };
+            if now.duration_since(frozen_since) >= grace {
+                drop(w);
+                // Snapshot the wait-for graph *before* poisoning:
+                // poisoning wakes every blocked thread with `Poisoned`
+                // and their waiter registrations vanish as they unwind.
+                let report = snapshot_stall(ctx, grace, epoch);
+                shared.poisoned.store(true, Ordering::Release);
+                return Verdict::Stalled(report);
+            }
+            stall_at = Some(frozen_since + grace);
+        } else {
+            // Any later return to `blocked >= live` records a new onset.
+            w.onset = None;
+        }
+        let sample_at = sampling.then_some(next_sample);
+        match [deadline_at, stall_at, sample_at]
+            .into_iter()
+            .flatten()
+            .min()
+        {
+            Some(at) => {
+                shared
+                    .watch_cv
+                    .wait_for(&mut w, at.saturating_duration_since(now));
+            }
+            None => shared.watch_cv.wait(&mut w),
+        }
+    }
+}
+
+/// One sampling tick: channel occupancy into the tracer's time series
+/// and the metrics gauges, then a flight-recorder tick (the recorder's
+/// own interval gate governs its cadence).
+fn sample(
+    ctx: &SimContext,
+    tracer: Option<&Tracer>,
+    metrics_reg: Option<&Arc<fblas_metrics::Registry>>,
+    flight_rec: Option<&Arc<fblas_metrics::flight::FlightRecorder>>,
+) {
+    let t_us = tracer.map(|t| t.now_us());
+    for probe in ctx.probes.lock().iter() {
+        let occ = probe.probe_occupancy();
+        if let (Some(tracer), Some(t_us)) = (tracer, t_us) {
+            tracer.record_sample(&format!("occ:{}", probe.probe_name()), t_us, occ as f64);
+        }
+        if let Some(reg) = metrics_reg {
+            reg.gauge(
+                "fblas_channel_occupancy",
+                &[("channel", &probe.probe_name())],
+            )
+            .set(occ as f64);
+        }
+    }
+    if let (Some(reg), Some(fr)) = (metrics_reg, flight_rec) {
+        fr.tick(reg);
+    }
 }
 
 impl Simulation {
@@ -496,8 +682,9 @@ impl Simulation {
 
     /// Attach a tracer: module threads get trace lanes (run span, channel
     /// ops, stall spans) and the watchdog samples channel occupancy into
-    /// the tracer's time series on every poll. Without a tracer the
-    /// simulation runs with the zero-overhead disabled path.
+    /// the tracer's time series when the run starts, every 5 ms while it
+    /// runs, and once more when it ends. Without a tracer the simulation
+    /// runs with the zero-overhead disabled path.
     pub fn set_tracer(&mut self, tracer: Tracer) -> &mut Self {
         self.tracer = Some(tracer);
         self
@@ -566,12 +753,10 @@ impl Simulation {
         install_panic_poison_hook();
 
         let start = Instant::now();
-        let mut stall_report: Option<StallReport> = None;
-        let mut deadline_report: Option<StallReport> = None;
         let mut results: Vec<Option<Result<(), SimError>>> = Vec::new();
         results.resize_with(n, || None);
 
-        std::thread::scope(|s| {
+        let verdict = std::thread::scope(|s| {
             let mut handles = Vec::with_capacity(n);
             for spec in modules {
                 let shared = shared.clone();
@@ -636,91 +821,23 @@ impl Simulation {
                         shared.poison_with_cause(&name);
                         Err(SimError::module(name.clone(), "module thread panicked"))
                     });
-                    shared.live.fetch_sub(1, Ordering::AcqRel);
+                    shared.retire_module();
                     r
                 }));
             }
 
-            // Watchdog: poll until all threads finish or a stall is seen.
-            // Each poll doubles as a channel-occupancy sampling tick when a
-            // tracer is attached.
-            let poll = Duration::from_millis(5);
-            let mut last_epoch = shared.epoch.load(Ordering::Acquire);
-            let mut frozen_since = Instant::now();
-            let metrics_reg = fblas_metrics::registry();
-            let flight_rec = fblas_metrics::flight::recorder();
-            loop {
-                if tracer.is_some() || metrics_reg.is_some() {
-                    let t_us = tracer.as_ref().map(|t| t.now_us());
-                    for probe in shared.probes.lock().iter() {
-                        let occ = probe.probe_occupancy();
-                        if let (Some(tracer), Some(t_us)) = (&tracer, t_us) {
-                            tracer.record_sample(
-                                &format!("occ:{}", probe.probe_name()),
-                                t_us,
-                                occ as f64,
-                            );
-                        }
-                        if let Some(reg) = &metrics_reg {
-                            reg.gauge(
-                                "fblas_channel_occupancy",
-                                &[("channel", &probe.probe_name())],
-                            )
-                            .set(occ as f64);
-                        }
-                    }
-                    // Each poll doubles as a flight-recorder tick; the
-                    // recorder's own interval gate governs the cadence.
-                    if let (Some(reg), Some(fr)) = (&metrics_reg, &flight_rec) {
-                        fr.tick(reg);
-                    }
-                }
-                if shared.live.load(Ordering::Acquire) == 0 {
-                    break;
-                }
-                std::thread::sleep(poll);
-                let epoch = shared.epoch.load(Ordering::Acquire);
-                let live = shared.live.load(Ordering::Acquire);
-                let blocked = shared.blocked.load(Ordering::Acquire);
-                if let Some(dl) = deadline {
-                    if start.elapsed() >= dl {
-                        // Same forensics discipline as a stall: snapshot
-                        // whatever wait-for edges exist before poisoning
-                        // wakes (and deregisters) every blocked thread.
-                        deadline_report = Some(snapshot_stall(&shared, dl, epoch));
-                        shared.poisoned.store(true, Ordering::Release);
-                        break;
-                    }
-                }
-                if epoch != last_epoch || live == 0 || blocked < live {
-                    last_epoch = epoch;
-                    frozen_since = Instant::now();
-                    continue;
-                }
-                if frozen_since.elapsed() >= grace {
-                    // Snapshot the wait-for graph *before* poisoning:
-                    // poisoning wakes every blocked thread with `Poisoned`
-                    // and their waiter registrations vanish as they
-                    // unwind. (The previous implementation reconstructed
-                    // the blocked set from which modules returned errors
-                    // after the join — but poisoning makes *every* module
-                    // error, so that list named innocent bystanders.)
-                    stall_report = Some(snapshot_stall(&shared, grace, epoch));
-                    shared.poisoned.store(true, Ordering::Release);
-                    break;
-                }
-            }
-
+            let verdict = watch(&ctx, grace, deadline, tracer.as_ref(), start);
             for (i, h) in handles.into_iter().enumerate() {
                 results[i] = Some(h.join().unwrap_or_else(|_| {
                     Err(SimError::module(names[i].clone(), "module thread panicked"))
                 }));
             }
+            verdict
         });
 
         let wall_time = start.elapsed();
 
-        if let Some(report) = stall_report {
+        if let Verdict::Stalled(report) = verdict {
             if let Some(reg) = fblas_metrics::registry() {
                 reg.counter("fblas_sim_stalls_total", &[]).inc();
             }
@@ -733,12 +850,12 @@ impl Simulation {
                 ),
                 None,
                 Some(&report),
-                &shared,
+                &ctx,
             );
             return Err(SimError::Stall { report });
         }
 
-        if let Some(report) = deadline_report {
+        if let Verdict::Deadline(report) = verdict {
             if let Some(reg) = fblas_metrics::registry() {
                 reg.counter("fblas_sim_deadlines_total", &[]).inc();
             }
@@ -751,7 +868,7 @@ impl Simulation {
                 ),
                 None,
                 Some(&report),
-                &shared,
+                &ctx,
             );
             return Err(SimError::Deadline { report });
         }
@@ -775,15 +892,30 @@ impl Simulation {
                 "run cancelled by context poison".to_string(),
                 by.clone(),
                 None,
-                &shared,
+                &ctx,
             );
             return Err(SimError::Poisoned { by });
         }
 
-        let channel_stats = SimContext {
-            shared: shared.clone(),
+        // Under an armed fault hook, a channel whose guard balances yet
+        // still holds elements after every module returned was sent more
+        // than its consumer took: a duplicated final element. When the
+        // producer's extra push loses the race to the consumer's exit it
+        // fails with `Disconnected`; report the winning push the same
+        // way, so detection does not depend on thread scheduling.
+        if ctx.faults_armed() {
+            let probes = ctx.probes.lock();
+            let residual = probes
+                .iter()
+                .find(|p| p.probe_occupancy() > 0 && p.probe_guard().is_some_and(|g| g.clean()));
+            if let Some(p) = residual {
+                return Err(SimError::Disconnected {
+                    channel: p.probe_name(),
+                });
+            }
         }
-        .channel_stats();
+
+        let channel_stats = ctx.channel_stats();
         let transfers = shared.epoch.load(Ordering::Acquire);
         // Run-summary scalars live in fblas-metrics only; the tracer-scoped
         // `trace::MetricsRegistry` kept just the counters the audit pipeline
@@ -855,7 +987,7 @@ mod tests {
 
     #[test]
     fn occupancy_sampler_handles_an_empty_simulation() {
-        // No modules at all: the watchdog's first poll doubles as the
+        // No modules at all: the watchdog's first pass doubles as the
         // sampling tick, must probe the (idle) channel without touching
         // any module state, and the run completes immediately.
         let tracer = fblas_trace::Tracer::new();
@@ -1066,8 +1198,8 @@ mod tests {
         assert_eq!(modules, ["sink", "src"]);
         let src = lanes.iter().find(|l| &*l.module == "src").unwrap();
         assert_eq!(src.pushes, 5000);
-        // 5000 elements through a depth-2 FIFO outlives several 5 ms
-        // watchdog polls, so the occupancy series exists. Run-summary
+        // The watchdog samples when the run starts and ends (and every
+        // 5 ms between), so the occupancy series exists. Run-summary
         // scalars moved to fblas-metrics; the tracer registry keeps only
         // the series-shaped data the Perfetto export needs.
         assert!(tracer.series().contains_key("occ:traced"));
@@ -1125,6 +1257,37 @@ mod tests {
             other => panic!("unexpected: {other:?}"),
         }
         assert_eq!(ctx.poison_cause(), Some("src".to_string()));
+    }
+
+    struct DuplicateFirstPush;
+
+    impl FaultHook for DuplicateFirstPush {
+        fn on_channel(&self, site: FaultSite, _: &str, index: u64) -> Option<FaultAction> {
+            (site == FaultSite::Push && index == 0).then_some(FaultAction::Duplicate)
+        }
+        fn on_module_start(&self, _: &str) -> Option<ModuleFault> {
+            None
+        }
+    }
+
+    #[test]
+    fn duplicated_final_element_is_a_disconnect_whichever_side_wins() {
+        // The consumer takes one element and exits; the producer's
+        // second push either finds the consumer gone (`Disconnected`
+        // from the push) or lands in the FIFO first (a balanced guard
+        // with an element left over). Both must read as the same
+        // count mismatch.
+        for _ in 0..200 {
+            let mut sim = Simulation::new();
+            sim.ctx().arm_faults(Arc::new(DuplicateFirstPush));
+            let (tx, rx) = channel::<f64>(sim.ctx(), 1, "res");
+            sim.add_module("src", ModuleKind::Compute, move || tx.push(4.5));
+            sim.add_module("sink", ModuleKind::Interface, move || rx.pop().map(|_| ()));
+            match sim.run() {
+                Err(SimError::Disconnected { channel }) => assert_eq!(channel, "res"),
+                other => panic!("expected disconnect, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1188,5 +1351,142 @@ mod tests {
             Err(SimError::Disconnected { channel }) => assert_eq!(channel, "short"),
             other => panic!("unexpected: {other:?}"),
         }
+    }
+
+    /// Run `sim` and assert it released its context: the last handle
+    /// goes with the run, so neither the shared state nor the probe
+    /// registry (and with it every channel core and FIFO) may outlive
+    /// `run()`, whatever the outcome.
+    fn run_and_check_release(sim: Simulation) -> Result<SimulationReport, SimError> {
+        let shared = Arc::downgrade(&sim.ctx().shared);
+        let probes = Arc::downgrade(&sim.ctx().probes);
+        let outcome = sim.run();
+        assert!(shared.upgrade().is_none(), "shared context leaked");
+        assert!(probes.upgrade().is_none(), "probe registry leaked");
+        outcome
+    }
+
+    #[test]
+    fn run_releases_its_context_on_every_exit_path() {
+        // Ok.
+        let mut sim = Simulation::new();
+        let (tx, rx) = channel::<u64>(sim.ctx(), 8, "ok");
+        sim.add_module("src", ModuleKind::Interface, move || tx.push_iter(0..100));
+        sim.add_module("sink", ModuleKind::Compute, move || {
+            rx.pop_n(100).map(|_| ())
+        });
+        assert!(run_and_check_release(sim).is_ok());
+
+        // Stall.
+        let mut sim = Simulation::new();
+        sim.set_grace(Duration::from_millis(30));
+        let (tx_ab, rx_ab) = channel::<u8>(sim.ctx(), 1, "a_to_b");
+        let (tx_ba, rx_ba) = channel::<u8>(sim.ctx(), 1, "b_to_a");
+        sim.add_module("a", ModuleKind::Compute, move || tx_ab.push(rx_ba.pop()?));
+        sim.add_module("b", ModuleKind::Compute, move || tx_ba.push(rx_ab.pop()?));
+        assert!(matches!(
+            run_and_check_release(sim),
+            Err(SimError::Stall { .. })
+        ));
+
+        // Deadline (a hung module holding its endpoints open).
+        let mut sim = Simulation::new();
+        sim.ctx().arm_faults(Arc::new(ModuleFaultHook {
+            target: "sink",
+            fault: ModuleFault::Hang,
+        }));
+        sim.set_deadline(Duration::from_millis(30));
+        let (tx, rx) = channel::<u32>(sim.ctx(), 4, "hang");
+        sim.add_module("src", ModuleKind::Interface, move || tx.push_iter(0..100));
+        sim.add_module("sink", ModuleKind::Compute, move || {
+            rx.pop_n(100).map(|_| ())
+        });
+        assert!(matches!(
+            run_and_check_release(sim),
+            Err(SimError::Deadline { .. })
+        ));
+
+        // Module error (its peer then sees a disconnect; the first
+        // module's error is the one surfaced).
+        let mut sim = Simulation::new();
+        let (tx, rx) = channel::<u32>(sim.ctx(), 4, "err");
+        sim.add_module("bad", ModuleKind::Compute, move || {
+            rx.pop()?;
+            Err(SimError::module("bad", "boom"))
+        });
+        sim.add_module("src", ModuleKind::Interface, move || tx.push_iter(0..100));
+        assert!(matches!(
+            run_and_check_release(sim),
+            Err(SimError::Module { .. })
+        ));
+    }
+
+    #[test]
+    fn statistics_and_guards_stay_readable_through_a_context_clone() {
+        // The executor reads integrity guards through a context clone
+        // after `run()`: releasing the context must not cost that.
+        let mut sim = Simulation::new();
+        let ctx = sim.ctx().clone();
+        ctx.arm_faults(Arc::new(ModuleFaultHook {
+            target: "nobody",
+            fault: ModuleFault::Crash,
+        }));
+        let (tx, rx) = channel::<u32>(sim.ctx(), 4, "kept");
+        sim.add_module("src", ModuleKind::Interface, move || tx.push_iter(0..10));
+        sim.add_module("sink", ModuleKind::Compute, move || {
+            rx.pop_n(10).map(|_| ())
+        });
+        let report = sim.run().unwrap();
+        assert_eq!(ctx.channel_stats(), report.channel_stats);
+        assert_eq!(ctx.channel_stats()[0].1.transferred, 10);
+        let guards = ctx.guard_reports();
+        assert_eq!(guards.len(), 1);
+        assert_eq!((guards[0].pushed, guards[0].popped), (10, 10));
+        assert!(guards[0].clean());
+    }
+
+    #[test]
+    fn trivial_runs_are_not_held_to_a_timer() {
+        // Completion wakes the watchdog: 100 one-module runs take well
+        // under the 500 ms a 5 ms poll would impose.
+        let t0 = Instant::now();
+        for _ in 0..100 {
+            let mut sim = Simulation::new();
+            sim.add_module("noop", ModuleKind::Compute, || Ok(()));
+            sim.run().unwrap();
+        }
+        let total = t0.elapsed();
+        assert!(
+            total < Duration::from_millis(250),
+            "100 trivial runs took {total:?}"
+        );
+    }
+
+    #[test]
+    fn deadline_fires_for_modules_that_never_touch_a_channel() {
+        // Nothing ever blocks on a channel, so no onset wakes the
+        // watchdog: only its deadline timeout can end the run.
+        let mut sim = Simulation::new();
+        sim.set_deadline(Duration::from_millis(60));
+        for name in ["spin_a", "spin_b"] {
+            let ctx = sim.ctx().clone();
+            sim.add_module(name, ModuleKind::Compute, move || {
+                while !ctx.is_poisoned() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(SimError::Poisoned { by: None })
+            });
+        }
+        let t0 = Instant::now();
+        match sim.run() {
+            Err(SimError::Deadline { report }) => {
+                assert!(report.blocked.is_empty(), "{report}");
+                assert_eq!(report.grace_ms, 60);
+            }
+            other => panic!("expected deadline, got {other:?}"),
+        }
+        let took = t0.elapsed();
+        assert!(took >= Duration::from_millis(60), "{took:?}");
+        assert!(took < Duration::from_secs(5), "{took:?}");
     }
 }

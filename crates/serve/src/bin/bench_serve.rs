@@ -15,8 +15,9 @@
 //! - `bench_serve` (default) — closed-loop latency/throughput sweep: at
 //!   1, 4, and 8 workers, four healthy tenants (and, in the `armed`
 //!   rows, one chaos tenant whose every request dies through the full
-//!   retry budget) each run a lockstep request stream from their own
-//!   connection. Reports RPS and p50/p95/p99 latency. Deterministic
+//!   retry budget) each run a lockstep stream of 250 requests
+//!   (`--requests N` overrides) from their own connection. Reports RPS
+//!   and p50/p95/p99 latency. Deterministic
 //!   columns (`workers`, `chaos`, `requests`, `ok`, `failed`) are gated
 //!   by bench-diff; wall-clock columns carry the volatile `cpu_` prefix
 //!   and are exempt.
@@ -150,6 +151,10 @@ fn drive_tenant(
     (lat, ok, failed)
 }
 
+/// Requests per tenant per row: four healthy tenants make 1,000 per
+/// row, so ten samples lie beyond the reported p99.
+const PER_TENANT_REQUESTS: usize = 250;
+
 fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -243,7 +248,7 @@ fn main() {
         .position(|a| a == "--requests")
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(20);
+        .unwrap_or(PER_TENANT_REQUESTS);
     let mut report = BenchReport::new("serve");
     report.meta("suite", Cell::S("serve-latency".into()));
     report.meta("tenants", Cell::U(4));

@@ -17,7 +17,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -297,6 +297,8 @@ const STATE_STOPPED: u8 = 2;
 
 struct Inner {
     cfg: ServeConfig,
+    /// The bound listen address, for waking the blocking `accept`.
+    addr: SocketAddr,
     queue: JobQueue,
     quotas: TenantQuotas,
     breakers: Breakers,
@@ -359,9 +361,9 @@ impl Server {
         env::arm_metrics();
         env::arm_flight();
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let inner = Arc::new(Inner {
+            addr,
             quotas: TenantQuotas::new(cfg.tenant_qps, cfg.tenant_burst),
             breakers: Breakers::new(cfg.breaker),
             queue: JobQueue::new(cfg.queue),
@@ -423,6 +425,7 @@ impl Server {
     /// work, stop workers, join everything.
     pub fn drain(mut self) -> DrainOutcome {
         let (clean, lost) = initiate_drain(&self.inner);
+        publish_drained(&self.inner, clean, lost);
         self.join_threads();
         DrainOutcome {
             clean,
@@ -441,18 +444,25 @@ impl Server {
     }
 }
 
-/// Transition to draining, run the queue drain, mark stopped, flush the
-/// final metrics snapshot, and wake `Server::wait`.
+/// Transition to draining, run the queue drain, mark stopped, wake the
+/// listener, and flush the final metrics snapshot. The caller then
+/// [`publish_drained`]s the outcome.
 fn initiate_drain(inner: &Inner) -> (bool, usize) {
     inner.state.store(STATE_DRAINING, Ordering::Release);
     let (clean, lost) = inner.queue.drain(inner.cfg.drain);
-    inner.state.store(STATE_STOPPED, Ordering::Release);
+    if inner.state.swap(STATE_STOPPED, Ordering::AcqRel) != STATE_STOPPED {
+        wake_listener(inner.addr);
+    }
     flush_metrics_snapshot();
-    let mut fin = inner.finished.lock();
-    *fin = Some((clean, lost));
-    drop(fin);
-    inner.finished_cv.notify_all();
     (clean, lost)
+}
+
+/// Record the drain outcome and wake `Server::wait`, which joins the
+/// threads and lets the daemon exit — so a client-driven drain calls
+/// this only after its response is written.
+fn publish_drained(inner: &Inner, clean: bool, lost: usize) {
+    *inner.finished.lock() = Some((clean, lost));
+    inner.finished_cv.notify_all();
 }
 
 /// Persist the final metrics snapshot next to the postmortem bundles
@@ -471,12 +481,29 @@ fn flush_metrics_snapshot() {
     }
 }
 
+/// Unblock the listener's `accept` once the state is `STATE_STOPPED`:
+/// connect to it, and the accept loop sees the stopped state and exits.
+fn wake_listener(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    if let Err(e) = TcpStream::connect_timeout(&addr, Duration::from_secs(1)) {
+        eprintln!("fblas-serve: warning: failed to wake the listener: {e}");
+    }
+}
+
+/// Accept connections on the blocking listener until the server stops;
+/// [`wake_listener`] supplies the connection that lets it notice.
 fn accept_loop(listener: TcpListener, inner: &Arc<Inner>) {
     loop {
+        let accepted = listener.accept();
         if inner.stopped() {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
                 // One JSON line per response: Nagle + delayed ACK would
                 // otherwise add ~40ms to every lockstep roundtrip.
@@ -489,12 +516,17 @@ fn accept_loop(listener: TcpListener, inner: &Arc<Inner>) {
                     eprintln!("fblas-serve: warning: failed to spawn connection thread: {e}");
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
             Err(e) => {
+                // Back off from a persistent error (descriptor
+                // exhaustion, say) without a blind sleep: a drain
+                // finishing during the pause ends it.
                 eprintln!("fblas-serve: accept error: {e}");
-                std::thread::sleep(Duration::from_millis(50));
+                let mut fin = inner.finished.lock();
+                if fin.is_none() {
+                    inner
+                        .finished_cv
+                        .wait_for(&mut fin, Duration::from_millis(50));
+                }
             }
         }
     }
@@ -592,6 +624,7 @@ fn handle_control(verb: &str, out: &Out, inner: &Arc<Inner>) {
                 Some(lost),
             );
             write_line(out, &body);
+            publish_drained(inner, clean, lost);
         }
         other => {
             write_line(

@@ -293,3 +293,29 @@ fn graceful_drain_loses_nothing_and_sheds_latecomers() {
     );
     assert_eq!(outcome.stats.failed, 0);
 }
+
+/// The listener blocks in `accept`; drain must still wake it and join
+/// every thread promptly, with no client at all and with an idle
+/// connection left open.
+#[test]
+fn drain_wakes_the_blocking_listener_promptly() {
+    let server = Server::start(cfg(2, 1_000, 1_000)).expect("server starts");
+    let t0 = std::time::Instant::now();
+    assert!(server.drain().clean);
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "drain with no client took {took:?}"
+    );
+
+    let server = Server::start(cfg(2, 1_000, 1_000)).expect("server starts");
+    let mut idle = Client::connect(server.addr()).expect("idle client connects");
+    assert!(idle.control("ping").expect("ping roundtrip").contains("ok"));
+    let t0 = std::time::Instant::now();
+    assert!(server.drain().clean);
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "drain with an idle connection took {took:?}"
+    );
+}
